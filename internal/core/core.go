@@ -195,13 +195,23 @@ func (st *Station) Restart() bool {
 	return true
 }
 
+// segmentPacket is a MAC packet together with the storage of the segment
+// header it carries, so sending a segment costs one allocation.
+type segmentPacket struct {
+	p   mac.Packet
+	hdr [transport.HeaderLen]byte
+}
+
 // SendSegment implements transport.Endpoint: wrap the segment into a MAC
 // packet of the requested on-air size. A powered-off station sends nothing.
 func (st *Station) SendSegment(dst frame.NodeID, seg transport.Segment, size int) {
 	if !st.radio.Enabled() {
 		return
 	}
-	st.mac.Enqueue(&mac.Packet{Dst: dst, Size: size, Payload: seg.Marshal()})
+	sp := &segmentPacket{p: mac.Packet{Dst: dst, Size: size}}
+	seg.Put(&sp.hdr)
+	sp.p.Payload = sp.hdr[:]
+	st.mac.Enqueue(&sp.p)
 }
 
 // Clock implements transport.Endpoint.
@@ -255,8 +265,8 @@ type Stream struct {
 	tcpRecv   *transport.TCPReceiver
 	offered   int
 
-	offeredAt map[uint32]sim.Time
-	delays    []sim.Duration
+	offers offerLog
+	delays []sim.Duration
 }
 
 // Offered reports the number of packets the application generated.
@@ -399,20 +409,14 @@ func (n *Network) AddStream(from, to *Station, kind TransportKind, rate float64)
 
 func (s *Stream) offer(seq uint32) {
 	s.offered++
-	if s.offeredAt == nil {
-		s.offeredAt = make(map[uint32]sim.Time)
-	}
-	s.offeredAt[seq] = s.From.net.Sim.Now()
+	s.offers.add(seq, s.From.net.Sim.Now())
 }
 
 func (s *Stream) record(t sim.Time, seq uint32) {
 	if s.counter != nil {
 		s.counter.Record(t)
-		if at, ok := s.offeredAt[seq]; ok {
-			if t >= s.counter.Warmup() {
-				s.delays = append(s.delays, t-at)
-			}
-			delete(s.offeredAt, seq)
+		if at, ok := s.offers.take(seq); ok && t >= s.counter.Warmup() {
+			s.delays = append(s.delays, t-at)
 		}
 	}
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // This file is the network's contribution to the snapshot state inventory
 // (DESIGN.md §14): a canonical, deterministic dump of every piece of
@@ -44,8 +41,8 @@ func (st *Station) appendState(b []byte) []byte {
 	return st.mac.AppendState(b)
 }
 
-// appendState dumps one stream: measurement window, offered bookkeeping
-// (sorted for determinism), recorded delays, generator, and transport
+// appendState dumps one stream: measurement window, undelivered offers in
+// seq order, recorded delays, generator, and transport
 // agents.
 func (s *Stream) appendState(b []byte) []byte {
 	b = fmt.Appendf(b, "stream name=%s kind=%s rate=%g startAt=%d offered=%d\n",
@@ -53,16 +50,7 @@ func (s *Stream) appendState(b []byte) []byte {
 	if s.counter != nil {
 		b = s.counter.AppendState(b)
 	}
-	keys := make([]uint32, 0, len(s.offeredAt))
-	for k := range s.offeredAt {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	b = fmt.Appendf(b, "offeredAt n=%d", len(keys))
-	for _, k := range keys {
-		b = fmt.Appendf(b, " %d@%d", k, s.offeredAt[k])
-	}
-	b = append(b, '\n')
+	b = s.offers.appendState(b)
 	b = fmt.Appendf(b, "delays n=%d", len(s.delays))
 	for _, d := range s.delays {
 		b = fmt.Appendf(b, " %d", d)

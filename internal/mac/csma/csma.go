@@ -58,6 +58,7 @@ type CSMA struct {
 	q       mac.Queue
 	retries int
 	timer   sim.Event
+	tk      tKind // continuation of the pending state timer
 	// sending references the head packet while its DATA frame is on the
 	// air (still queued; finish pops it). It stays nil while an ACK is on
 	// the air, which is how the two Sending-state timers are told apart.
@@ -144,9 +145,24 @@ func (c *CSMA) Enqueue(p *mac.Packet) {
 	}
 }
 
-func (c *CSMA) setTimer(d sim.Duration, fn func()) {
+// tKind names the continuation the single state timer carries. Timers are
+// armed through AtPriorityCall with the package-level timerCall and the kind
+// as its argument, so arming one allocates no closure, and warm-started forks
+// re-arm the pending timer from the copied kind.
+type tKind int
+
+const (
+	tNone tKind = iota
+	tAttempt
+	tDataAirDone
+	tACKTimeout
+	tAckAirDone
+)
+
+func (c *CSMA) setTimer(d sim.Duration, k tKind) {
 	c.timer.Cancel()
-	c.timer = c.env.Sim.After(d, fn)
+	c.tk = k
+	c.timer = c.env.Sim.AtPriorityCall(c.env.Sim.Now()+d, 0, timerCall, c, k)
 	if c.env.Obs != nil {
 		c.env.Obs.ObserveTimer(c.timer.When())
 	}
@@ -155,8 +171,26 @@ func (c *CSMA) setTimer(d sim.Duration, fn func()) {
 func (c *CSMA) clearTimer() {
 	c.timer.Cancel()
 	c.timer = sim.Event{}
+	c.tk = tNone
 	if c.env.Obs != nil {
 		c.env.Obs.ObserveTimer(-1)
+	}
+}
+
+// timerCall is the state timer's event callback: a package-level function,
+// so arming the timer stores (c, kind) in the pooled event record instead of
+// allocating a method-value closure.
+func timerCall(a, b any) {
+	c := a.(*CSMA)
+	switch b.(tKind) {
+	case tAttempt:
+		c.attempt()
+	case tDataAirDone:
+		c.onDataAirDone()
+	case tACKTimeout:
+		c.onACKTimeout()
+	case tAckAirDone:
+		c.onAckAirDone()
 	}
 }
 
@@ -207,7 +241,7 @@ func (c *CSMA) schedule() {
 	}
 	c.setState(Backoff)
 	k := 1 + c.env.Rand.Intn(c.pol.Backoff(head.Dst))
-	c.setTimer(sim.Duration(k)*c.env.Cfg.Slot(), c.attempt)
+	c.setTimer(sim.Duration(k)*c.env.Cfg.Slot(), tAttempt)
 }
 
 // attempt senses the carrier and transmits if the channel appears clear —
@@ -228,7 +262,7 @@ func (c *CSMA) attempt() {
 	air := c.transmit(data)
 	c.setState(Sending)
 	c.sending = head
-	c.setTimer(air, c.onDataAirDone)
+	c.setTimer(air, tDataAirDone)
 }
 
 // onDataAirDone fires when the DATA frame leaves the air: fire-and-forget
@@ -242,7 +276,7 @@ func (c *CSMA) onDataAirDone() {
 		return
 	}
 	c.setState(WFACK)
-	c.setTimer(c.env.Cfg.Turnaround+c.env.Cfg.CtrlTime()+c.env.Cfg.Margin, c.onACKTimeout)
+	c.setTimer(c.env.Cfg.Turnaround+c.env.Cfg.CtrlTime()+c.env.Cfg.Margin, tACKTimeout)
 }
 
 // onAckAirDone fires when a returned ACK leaves the air.
@@ -312,7 +346,7 @@ func (c *CSMA) RadioReceive(f *frame.Frame) {
 			air := c.transmit(ack)
 			c.stats.ACKSent++
 			c.setState(Sending)
-			c.setTimer(air, c.onAckAirDone)
+			c.setTimer(air, tAckAirDone)
 		}
 	case frame.ACK:
 		if c.st != WFACK {

@@ -12,10 +12,8 @@ import (
 // built environment (DESIGN.md §15).
 // Queued packets are shared — a mac.Packet is immutable once enqueued — and
 // the pending state timer is re-armed at its exact (when, prio, seq) ordering
-// key. The FSM state discriminates the callback, with one refinement: in
-// Sending the timer completes a DATA frame when sending is set and an ACK
-// frame when it is nil (the engine maintains exactly that invariant). It
-// fails closed on anything this fork path cannot reproduce.
+// key from the copied timer kind. It fails closed on anything this fork path
+// cannot reproduce.
 func (c *CSMA) AdoptFrom(peer mac.Engine) error {
 	w, ok := peer.(*CSMA)
 	if !ok {
@@ -37,23 +35,11 @@ func (c *CSMA) AdoptFrom(peer mac.Engine) error {
 	c.seq = w.seq
 	c.stats = w.stats
 
-	var fn func()
-	switch w.st {
-	case Backoff:
-		fn = c.attempt
-	case Sending:
-		if w.sending != nil {
-			fn = c.onDataAirDone
-		} else {
-			fn = c.onAckAirDone
-		}
-	case WFACK:
-		fn = c.onACKTimeout
+	c.tk = w.tk
+	if w.tk == tNone && w.timer.Live() {
+		return fmt.Errorf("csma: adopt: live timer in state %s with no timer kind", w.st)
 	}
-	if fn == nil && w.timer.Live() {
-		return fmt.Errorf("csma: adopt: live timer in state %s, which never arms one", w.st)
-	}
-	c.timer = c.env.Sim.Readopt(w.timer, fn)
+	c.timer = c.env.Sim.ReadoptCall(w.timer, timerCall, c, w.tk)
 	return nil
 }
 

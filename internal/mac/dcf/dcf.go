@@ -246,35 +246,37 @@ func (d *DCF) Enqueue(p *mac.Packet) {
 	}
 }
 
-// timerFn maps a timer kind to its continuation.
-func (d *DCF) timerFn(k tKind) func() {
-	switch k {
+// timerCall is the state timer's event callback: a package-level function,
+// so arming the timer stores (d, kind) in the pooled event record instead of
+// allocating a method-value closure.
+func timerCall(a, b any) {
+	d := a.(*DCF)
+	switch b.(tKind) {
 	case tAttempt:
-		return d.attempt
+		d.attempt()
 	case tCTSTimeout:
-		return d.onCTSTimeout
+		d.onCTSTimeout()
 	case tSendData:
-		return d.sendData
+		d.sendData()
 	case tACKTimeout:
-		return d.onACKTimeout
+		d.onACKTimeout()
 	case tSendCTS:
-		return d.sendCTS
+		d.sendCTS()
 	case tDataTimeout:
-		return d.onDataTimeout
+		d.onDataTimeout()
 	case tSendACK:
-		return d.sendACK
+		d.sendACK()
 	case tAckAir:
-		return d.onAckAirDone
+		d.onAckAirDone()
 	case tBcastAir:
-		return d.onBcastAirDone
+		d.onBcastAirDone()
 	}
-	return nil
 }
 
 func (d *DCF) setTimer(dur sim.Duration, k tKind) {
 	d.timer.Cancel()
 	d.tk = k
-	d.timer = d.env.Sim.After(dur, d.timerFn(k))
+	d.timer = d.env.Sim.AtPriorityCall(d.env.Sim.Now()+dur, 0, timerCall, d, k)
 	if d.env.Obs != nil {
 		d.env.Obs.ObserveTimer(d.timer.When())
 	}

@@ -45,14 +45,10 @@ func (d *DCF) AdoptFrom(peer mac.Engine) error {
 	d.stats = w.stats
 
 	d.tk = w.tk
-	var fn func()
-	if w.tk != tNone {
-		fn = d.timerFn(w.tk)
+	if w.tk == tNone && w.timer.Live() {
+		return fmt.Errorf("dcf: adopt: live timer in state %s with no timer kind", w.st)
 	}
-	if fn == nil && w.timer.Live() {
-		return fmt.Errorf("dcf: adopt: live timer with kind %d, which has no continuation", w.tk)
-	}
-	d.timer = d.env.Sim.Readopt(w.timer, fn)
+	d.timer = d.env.Sim.ReadoptCall(w.timer, timerCall, d, w.tk)
 	return nil
 }
 

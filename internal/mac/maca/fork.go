@@ -12,11 +12,9 @@ import (
 // built environment (DESIGN.md §15).
 // Queued packets are shared — a mac.Packet is immutable once enqueued — and
 // the pending state timer is re-armed at its exact (when, prio, seq) ordering
-// key, with the callback named by the FSM state that armed it (each MACA
-// state arms at most one timer, so the state is the full discriminator). It
-// fails closed on anything this fork path cannot reproduce: a halted
-// instance, a mismatched backoff policy, or a live timer in a state that
-// never arms one.
+// key from the copied timer kind. It fails closed on anything this fork path
+// cannot reproduce: a halted instance, a mismatched backoff policy, or a live
+// timer with no kind.
 func (m *MACA) AdoptFrom(peer mac.Engine) error {
 	w, ok := peer.(*MACA)
 	if !ok {
@@ -38,17 +36,11 @@ func (m *MACA) AdoptFrom(peer mac.Engine) error {
 	m.seq = w.seq
 	m.stats = w.stats
 
-	fn := map[State]func(){
-		Contend:  m.onContendTimeout,
-		WFCTS:    m.onCTSTimeout,
-		WFData:   m.onTimeoutToIdle,
-		Quiet:    m.onQuietEnd,
-		SendData: m.onDataSent,
-	}[w.st]
-	if fn == nil && w.timer.Live() {
-		return fmt.Errorf("maca: adopt: live timer in state %s, which never arms one", w.st)
+	m.tk = w.tk
+	if w.tk == tNone && w.timer.Live() {
+		return fmt.Errorf("maca: adopt: live timer in state %s with no timer kind", w.st)
 	}
-	m.timer = m.env.Sim.Readopt(w.timer, fn)
+	m.timer = m.env.Sim.ReadoptCall(w.timer, timerCall, m, w.tk)
 	return nil
 }
 

@@ -57,6 +57,7 @@ type MACA struct {
 	q          mac.Queue
 	retries    int
 	timer      sim.Event
+	tk         tKind // continuation of the pending state timer
 	deferUntil sim.Time
 	curDst     frame.NodeID // destination of the exchange in flight
 	expectFrom frame.NodeID // sender we issued a CTS to (WFData)
@@ -149,13 +150,29 @@ func (m *MACA) Enqueue(p *mac.Packet) {
 	}
 }
 
-func (m *MACA) setTimer(d sim.Duration, fn func()) {
-	m.setTimerAt(m.env.Sim.Now()+d, fn)
+// tKind names the continuation the single state timer carries. Timers are
+// armed through AtPriorityCall with the package-level timerCall and the kind
+// as its argument, so arming one allocates no closure, and warm-started forks
+// re-arm the pending timer from the copied kind.
+type tKind int
+
+const (
+	tNone tKind = iota
+	tContend
+	tCTSTimeout
+	tTimeoutToIdle
+	tQuietEnd
+	tDataSent
+)
+
+func (m *MACA) setTimer(d sim.Duration, k tKind) {
+	m.setTimerAt(m.env.Sim.Now()+d, k)
 }
 
-func (m *MACA) setTimerAt(t sim.Time, fn func()) {
+func (m *MACA) setTimerAt(t sim.Time, k tKind) {
 	m.timer.Cancel()
-	m.timer = m.env.Sim.At(t, fn)
+	m.tk = k
+	m.timer = m.env.Sim.AtPriorityCall(t, 0, timerCall, m, k)
 	if m.env.Obs != nil {
 		m.env.Obs.ObserveTimer(t)
 	}
@@ -164,8 +181,28 @@ func (m *MACA) setTimerAt(t sim.Time, fn func()) {
 func (m *MACA) clearTimer() {
 	m.timer.Cancel()
 	m.timer = sim.Event{}
+	m.tk = tNone
 	if m.env.Obs != nil {
 		m.env.Obs.ObserveTimer(-1)
+	}
+}
+
+// timerCall is the state timer's event callback: a package-level function,
+// so arming the timer stores (m, kind) in the pooled event record instead of
+// allocating a method-value closure.
+func timerCall(a, b any) {
+	m := a.(*MACA)
+	switch b.(tKind) {
+	case tContend:
+		m.onContendTimeout()
+	case tCTSTimeout:
+		m.onCTSTimeout()
+	case tTimeoutToIdle:
+		m.onTimeoutToIdle()
+	case tQuietEnd:
+		m.onQuietEnd()
+	case tDataSent:
+		m.onDataSent()
 	}
 }
 
@@ -231,7 +268,7 @@ func (m *MACA) enterContend() {
 	}
 	bo := m.pol.Backoff(head.Dst)
 	k := 1 + m.env.Rand.Intn(bo)
-	m.setTimerAt(base+sim.Duration(k)*m.env.Cfg.Slot(), m.onContendTimeout)
+	m.setTimerAt(base+sim.Duration(k)*m.env.Cfg.Slot(), tContend)
 }
 
 // onContendTimeout is Timeout rule 1: transmit the RTS and wait for the CTS.
@@ -255,7 +292,7 @@ func (m *MACA) onContendTimeout() {
 	m.stats.RTSSent++
 	m.curDst = head.Dst
 	m.setState(WFCTS)
-	m.setTimer(air+m.env.Cfg.CTSWait(), m.onCTSTimeout)
+	m.setTimer(air+m.env.Cfg.CTSWait(), tCTSTimeout)
 }
 
 // onCTSTimeout handles a lost RTS-CTS exchange: back off and retry, or give
@@ -307,9 +344,9 @@ func (m *MACA) enterQuiet(d sim.Duration) {
 	switch m.st {
 	case Idle, Contend:
 		m.setState(Quiet)
-		m.setTimer(m.deferUntil-m.env.Sim.Now(), m.onQuietEnd)
+		m.setTimer(m.deferUntil-m.env.Sim.Now(), tQuietEnd)
 	case Quiet:
-		m.setTimer(m.deferUntil-m.env.Sim.Now(), m.onQuietEnd)
+		m.setTimer(m.deferUntil-m.env.Sim.Now(), tQuietEnd)
 	case WFCTS, WFData, SendData:
 		// Keep the exchange; deferUntil constrains future contention.
 	}
@@ -321,7 +358,7 @@ func (m *MACA) onQuietEnd() {
 	}
 	m.timer = sim.Event{}
 	if m.deferUntil > m.env.Sim.Now() {
-		m.setTimer(m.deferUntil-m.env.Sim.Now(), m.onQuietEnd)
+		m.setTimer(m.deferUntil-m.env.Sim.Now(), tQuietEnd)
 		return
 	}
 	m.next()
@@ -372,7 +409,7 @@ func (m *MACA) receiveForMe(f *frame.Frame) {
 		m.stats.CTSSent++
 		m.expectFrom = f.Src
 		m.setState(WFData)
-		m.setTimer(air+m.env.Cfg.Turnaround+m.env.Cfg.DataTime(int(f.DataBytes))+m.env.Cfg.Margin, m.onTimeoutToIdle)
+		m.setTimer(air+m.env.Cfg.Turnaround+m.env.Cfg.DataTime(int(f.DataBytes))+m.env.Cfg.Margin, tTimeoutToIdle)
 	case frame.CTS:
 		// Control rule 3: send the data.
 		if m.st != WFCTS || f.Src != m.curDst {
@@ -388,7 +425,7 @@ func (m *MACA) receiveForMe(f *frame.Frame) {
 		air := m.transmit(data)
 		m.setState(SendData)
 		m.sending = head
-		m.setTimer(air, m.onDataSent)
+		m.setTimer(air, tDataSent)
 	case frame.DATA:
 		// Control rule 4.
 		if m.st == WFData && f.Src == m.expectFrom {

@@ -9,8 +9,8 @@ import (
 // AppendState appends the engine's full FSM state for the snapshot
 // inventory (DESIGN.md §14).
 func (m *MACA) AppendState(b []byte) []byte {
-	b = fmt.Appendf(b, "maca st=%s retries=%d timer=%d timerCancelled=%t defer=%d curDst=%d expectFrom=%d seq=%d halted=%t",
-		m.st, m.retries, m.timer.When(), m.timer.Cancelled(), m.deferUntil, m.curDst, m.expectFrom, m.seq, m.halted)
+	b = fmt.Appendf(b, "maca st=%s retries=%d timer=%d timerCancelled=%t tk=%d defer=%d curDst=%d expectFrom=%d seq=%d halted=%t",
+		m.st, m.retries, m.timer.When(), m.timer.Cancelled(), m.tk, m.deferUntil, m.curDst, m.expectFrom, m.seq, m.halted)
 	b = mac.AppendPacketRef(b, "sending", m.sending)
 	b = append(b, '\n')
 	b = m.q.AppendState(b)

@@ -14,11 +14,10 @@ import (
 // Queued and pending packets are shared — a mac.Packet is immutable once
 // enqueued, and sharing preserves the pointer identity the piggyback path
 // compares (queue head vs pending entry). The pending state timer is re-armed
-// at its exact (when, prio, seq) ordering key; the FSM state names its
-// callback, except in SendData where five different frames can be on the air
-// and the tx kind is the discriminator. It fails closed on anything this
-// fork path cannot reproduce: a halted instance, mismatched options, a
-// mismatched backoff policy, or a live timer with no discriminable owner.
+// at its exact (when, prio, seq) ordering key from the copied timer kind. It
+// fails closed on anything this fork path cannot reproduce: a halted
+// instance, mismatched options, a mismatched backoff policy, or a live timer
+// with no kind.
 func (m *MACAW) AdoptFrom(peer mac.Engine) error {
 	w, ok := peer.(*MACAW)
 	if !ok {
@@ -48,7 +47,7 @@ func (m *MACAW) AdoptFrom(peer mac.Engine) error {
 	m.cur = w.cur
 	m.curDst = w.curDst
 	m.expectSrc = w.expectSrc
-	m.tx, m.txHead, m.txWantAck = w.tx, w.txHead, w.txWantAck
+	m.txHead, m.txWantAck = w.txHead, w.txWantAck
 	m.rrtsFor, m.rrtsLen, m.hasRRTS, m.rrtsSeen = w.rrtsFor, w.rrtsLen, w.hasRRTS, w.rrtsSeen
 	m.lastAcked = copyMap(w.lastAcked)
 	m.everAcked = copyMap(w.everAcked)
@@ -57,38 +56,11 @@ func (m *MACAW) AdoptFrom(peer mac.Engine) error {
 	m.pendingRetries = copyMap(w.pendingRetries)
 	m.stats = w.stats
 
-	var fn func()
-	switch w.st {
-	case Contend:
-		fn = m.onContendTimeout
-	case WFCTS:
-		fn = m.onCTSTimeout
-	case WFACK:
-		fn = m.onACKTimeout
-	case WFDS, WFData, WFRTS:
-		fn = m.onExpectTimeout
-	case Quiet:
-		fn = m.onQuietEnd
-	case SendData:
-		switch w.tx {
-		case txMcastRTS:
-			fn = m.onMcastRTSSent
-		case txMcastData:
-			fn = m.onMcastDataSent
-		case txDS:
-			fn = m.onDSSent
-		case txData:
-			fn = m.onDataAirDone
-		case txCtrl:
-			fn = m.onCtrlSent
-		default:
-			return fmt.Errorf("macaw: adopt: SendData with tx kind %d has no timer owner", w.tx)
-		}
+	m.tk = w.tk
+	if w.tk == tNone && w.timer.Live() {
+		return fmt.Errorf("macaw: adopt: live timer in state %s with no timer kind", w.st)
 	}
-	if fn == nil && w.timer.Live() {
-		return fmt.Errorf("macaw: adopt: live timer in state %s, which never arms one", w.st)
-	}
-	m.timer = m.env.Sim.Readopt(w.timer, fn)
+	m.timer = m.env.Sim.ReadoptCall(w.timer, timerCall, m, w.tk)
 	return nil
 }
 

@@ -129,20 +129,26 @@ type contender struct {
 	rrts bool
 }
 
-// txKind discriminates which transmission the SendData-state timer is
-// completing. Five different frames can be on the air in SendData; the kind
-// (with txHead/txWantAck) is the full continuation state, so the timer
-// callbacks can be named methods instead of capturing closures — which keeps
-// their symbols stable for warm-started forks.
-type txKind int
+// tKind names the continuation the single state timer carries. Timers are
+// armed through AtPriorityCall with the package-level timerCall and the kind
+// as its argument, so arming one allocates no closure; the kind is the full
+// continuation state (with txHead/txWantAck in SendData, where five
+// different frames can be on the air), and warm-started forks re-arm the
+// pending timer from the copied kind.
+type tKind int
 
 const (
-	txNone txKind = iota
-	txMcastRTS
-	txMcastData
-	txDS
-	txData
-	txCtrl
+	tNone tKind = iota
+	tContend
+	tCTSTimeout
+	tACKTimeout
+	tExpect
+	tQuietEnd
+	tMcastRTSSent
+	tMcastDataSent
+	tDSSent
+	tDataAirDone
+	tCtrlSent
 )
 
 // MACAW is one station's protocol instance.
@@ -154,6 +160,7 @@ type MACAW struct {
 
 	st         State
 	timer      sim.Event
+	tk         tKind // continuation of the pending state timer
 	deferUntil sim.Time
 	// carrierClearAt is the earliest transmission time permitted by the
 	// CarrierSense option: one slot after the carrier last went quiet,
@@ -171,10 +178,9 @@ type MACAW struct {
 	curDst    frame.NodeID // destination of the exchange in flight
 	expectSrc frame.NodeID // sender we issued a CTS/RRTS toward
 
-	// tx/txHead/txWantAck are the continuation state of the SendData
-	// timer: which frame is on the air, the packet it belongs to, and
-	// whether the DATA frame requested an ACK.
-	tx        txKind
+	// txHead/txWantAck complete the SendData timer's continuation: the
+	// packet the frame on the air belongs to, and whether the DATA frame
+	// requested an ACK.
 	txHead    *mac.Packet
 	txWantAck bool
 
@@ -279,7 +285,7 @@ func (m *MACAW) Halt() {
 	m.st = Idle
 	m.hasRRTS = false
 	m.deferUntil = 0
-	m.tx, m.txHead, m.txWantAck = txNone, nil, false
+	m.txHead, m.txWantAck = nil, false
 	drain := func(q *mac.Queue) {
 		for p := q.Pop(); p != nil; p = q.Pop() {
 			m.stats.Drops++
@@ -394,17 +400,18 @@ func (m *MACAW) considerContender(c contender) {
 	at := base + sim.Duration(k)*m.env.Cfg.Slot()
 	if m.timer.IsZero() || m.timer.Cancelled() || at < m.timer.When() {
 		m.cur = c
-		m.setTimerAt(at, m.onContendTimeout)
+		m.setTimerAt(at, tContend)
 	}
 }
 
-func (m *MACAW) setTimer(d sim.Duration, fn func()) {
-	m.setTimerAt(m.env.Sim.Now()+d, fn)
+func (m *MACAW) setTimer(d sim.Duration, k tKind) {
+	m.setTimerAt(m.env.Sim.Now()+d, k)
 }
 
-func (m *MACAW) setTimerAt(t sim.Time, fn func()) {
+func (m *MACAW) setTimerAt(t sim.Time, k tKind) {
 	m.timer.Cancel()
-	m.timer = m.env.Sim.At(t, fn)
+	m.tk = k
+	m.timer = m.env.Sim.AtPriorityCall(t, 0, timerCall, m, k)
 	if m.env.Obs != nil {
 		m.env.Obs.ObserveTimer(t)
 	}
@@ -413,8 +420,38 @@ func (m *MACAW) setTimerAt(t sim.Time, fn func()) {
 func (m *MACAW) clearTimer() {
 	m.timer.Cancel()
 	m.timer = sim.Event{}
+	m.tk = tNone
 	if m.env.Obs != nil {
 		m.env.Obs.ObserveTimer(-1)
+	}
+}
+
+// timerCall is the state timer's event callback: a package-level function,
+// so arming the timer stores (m, kind) in the pooled event record instead of
+// allocating a method-value closure.
+func timerCall(a, b any) {
+	m := a.(*MACAW)
+	switch b.(tKind) {
+	case tContend:
+		m.onContendTimeout()
+	case tCTSTimeout:
+		m.onCTSTimeout()
+	case tACKTimeout:
+		m.onACKTimeout()
+	case tExpect:
+		m.onExpectTimeout()
+	case tQuietEnd:
+		m.onQuietEnd()
+	case tMcastRTSSent:
+		m.onMcastRTSSent()
+	case tMcastDataSent:
+		m.onMcastDataSent()
+	case tDSSent:
+		m.onDSSent()
+	case tDataAirDone:
+		m.onDataAirDone()
+	case tCtrlSent:
+		m.onCtrlSent()
 	}
 }
 
@@ -492,7 +529,7 @@ func (m *MACAW) enterContend() {
 			// stay QUIET so arriving RTSes are answered with an
 			// RRTS later rather than a mid-exchange CTS.
 			m.setState(Quiet)
-			m.setTimerAt(m.deferUntil, m.onQuietEnd)
+			m.setTimerAt(m.deferUntil, tQuietEnd)
 			return
 		}
 		m.setState(Idle)
@@ -535,7 +572,7 @@ func (m *MACAW) enterContend() {
 		draw(contender{dst: d})
 	}
 	m.cur = pick
-	m.setTimerAt(best, m.onContendTimeout)
+	m.setTimerAt(best, tContend)
 }
 
 // onContendTimeout transmits the RTS (or RRTS) the station contended for
@@ -561,7 +598,7 @@ func (m *MACAW) onContendTimeout() {
 			// The carrier is busy: wait for it to clear, then
 			// redraw from the cleared instant.
 			m.setState(Quiet)
-			m.setTimer(m.env.Cfg.Slot(), m.onQuietEnd)
+			m.setTimer(m.env.Cfg.Slot(), tQuietEnd)
 			return
 		}
 		m.enterContend()
@@ -589,7 +626,7 @@ func (m *MACAW) onContendTimeout() {
 	m.stats.RTSSent++
 	m.curDst = head.Dst
 	m.setState(WFCTS)
-	m.setTimer(air+m.env.Cfg.CTSWait(), m.onCTSTimeout)
+	m.setTimer(air+m.env.Cfg.CTSWait(), tCTSTimeout)
 }
 
 // sendRRTS contends on behalf of a blocked sender (§3.3.3).
@@ -603,7 +640,7 @@ func (m *MACAW) sendRRTS() {
 	m.expectSrc = dst
 	m.setState(WFRTS)
 	// Long enough for the answering RTS to arrive.
-	m.setTimer(air+m.env.Cfg.Turnaround+m.env.Cfg.CtrlTime()+m.env.Cfg.Margin, m.onExpectTimeout)
+	m.setTimer(air+m.env.Cfg.Turnaround+m.env.Cfg.CtrlTime()+m.env.Cfg.Margin, tExpect)
 }
 
 // sendMulticast performs the §3.3.4 multicast exchange: an RTS immediately
@@ -614,8 +651,8 @@ func (m *MACAW) sendMulticast(head *mac.Packet) {
 	air := m.transmit(rts)
 	m.stats.RTSSent++
 	m.setState(SendData)
-	m.tx, m.txHead = txMcastRTS, head
-	m.setTimer(air, m.onMcastRTSSent)
+	m.txHead = head
+	m.setTimer(air, tMcastRTSSent)
 }
 
 // onMcastRTSSent follows the multicast RTS with the DATA packet itself.
@@ -625,15 +662,14 @@ func (m *MACAW) onMcastRTSSent() {
 	data := &frame.Frame{Type: frame.DATA, Src: m.env.ID(), Dst: frame.Broadcast, DataBytes: uint16(head.Size), Seq: head.Seq(), Multicast: true, Payload: head.Payload}
 	m.pol.StampSend(data)
 	dair := m.transmit(data)
-	m.tx = txMcastData
-	m.setTimer(dair, m.onMcastDataSent)
+	m.setTimer(dair, tMcastDataSent)
 }
 
 // onMcastDataSent completes the multicast exchange.
 func (m *MACAW) onMcastDataSent() {
 	m.timer = sim.Event{}
 	head := m.txHead
-	m.tx, m.txHead = txNone, nil
+	m.txHead = nil
 	m.queueFor(frame.Broadcast).Pop()
 	m.noteQueue("pop", frame.Broadcast)
 	m.stats.DataSent++
@@ -714,7 +750,7 @@ func (m *MACAW) enterQuiet(d sim.Duration) {
 	switch m.st {
 	case Idle, Contend, Quiet:
 		m.setState(Quiet)
-		m.setTimerAt(m.deferUntil, m.onQuietEnd)
+		m.setTimerAt(m.deferUntil, tQuietEnd)
 	default:
 		// Mid-exchange states keep their timers; the advanced horizon
 		// constrains the next contention.
@@ -727,13 +763,13 @@ func (m *MACAW) onQuietEnd() {
 	}
 	m.timer = sim.Event{}
 	if m.deferUntil > m.env.Sim.Now() {
-		m.setTimerAt(m.deferUntil, m.onQuietEnd)
+		m.setTimerAt(m.deferUntil, tQuietEnd)
 		return
 	}
 	if hold := m.carrierHold(); hold == maxTime {
 		// Still carrier-busy: poll again a slot later (the carrier
 		// callback cannot restart a cancelled timer for us).
-		m.setTimer(m.env.Cfg.Slot(), m.onQuietEnd)
+		m.setTimer(m.env.Cfg.Slot(), tQuietEnd)
 		return
 	}
 	m.next()
@@ -751,8 +787,7 @@ func (m *MACAW) onExpectTimeout() {
 		air := m.transmit(nack)
 		m.expectSrc = 0
 		m.setState(SendData)
-		m.tx = txCtrl
-		m.setTimer(air, m.onCtrlSent)
+		m.setTimer(air, tCtrlSent)
 		return
 	}
 	// The expected peer never followed through; forget it so no later
@@ -977,10 +1012,10 @@ func (m *MACAW) grantRTS(f *frame.Frame) {
 	m.expectSrc = f.Src
 	if m.opt.Exchange.HasDS() {
 		m.setState(WFDS)
-		m.setTimer(air+m.env.Cfg.Turnaround+m.env.Cfg.CtrlTime()+m.env.Cfg.Margin, m.onExpectTimeout)
+		m.setTimer(air+m.env.Cfg.Turnaround+m.env.Cfg.CtrlTime()+m.env.Cfg.Margin, tExpect)
 	} else {
 		m.setState(WFData)
-		m.setTimer(air+m.env.Cfg.Turnaround+m.env.Cfg.DataTime(int(f.DataBytes))+m.env.Cfg.Margin, m.onExpectTimeout)
+		m.setTimer(air+m.env.Cfg.Turnaround+m.env.Cfg.DataTime(int(f.DataBytes))+m.env.Cfg.Margin, tExpect)
 	}
 }
 
@@ -1040,8 +1075,8 @@ func (m *MACAW) onCTS(f *frame.Frame) {
 		air := m.transmit(ds)
 		m.stats.DSSent++
 		m.setState(SendData)
-		m.tx, m.txHead = txDS, head
-		m.setTimer(air, m.onDSSent)
+		m.txHead = head
+		m.setTimer(air, tDSSent)
 	} else {
 		m.setState(SendData)
 		m.sendData(head)
@@ -1062,15 +1097,15 @@ func (m *MACAW) sendData(head *mac.Packet) {
 	data := &frame.Frame{Type: frame.DATA, Src: m.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload, AckRequested: wantAck}
 	m.pol.StampSend(data)
 	air := m.transmit(data)
-	m.tx, m.txHead, m.txWantAck = txData, head, wantAck
-	m.setTimer(air, m.onDataAirDone)
+	m.txHead, m.txWantAck = head, wantAck
+	m.setTimer(air, tDataAirDone)
 }
 
 // onDSSent transmits the announced data once the DS frame leaves the air.
 func (m *MACAW) onDSSent() {
 	m.timer = sim.Event{}
 	head := m.txHead
-	m.tx, m.txHead = txNone, nil
+	m.txHead = nil
 	m.sendData(head)
 }
 
@@ -1079,10 +1114,10 @@ func (m *MACAW) onDSSent() {
 func (m *MACAW) onDataAirDone() {
 	m.timer = sim.Event{}
 	head, wantAck := m.txHead, m.txWantAck
-	m.tx, m.txHead, m.txWantAck = txNone, nil, false
+	m.txHead, m.txWantAck = nil, false
 	if wantAck {
 		m.setState(WFACK)
-		m.setTimer(m.env.Cfg.CTSWait(), m.onACKTimeout)
+		m.setTimer(m.env.Cfg.CTSWait(), tACKTimeout)
 		return
 	}
 	if m.opt.Exchange.HasACK() {
@@ -1107,7 +1142,6 @@ func (m *MACAW) onDataAirDone() {
 // the air.
 func (m *MACAW) onCtrlSent() {
 	m.timer = sim.Event{}
-	m.tx = txNone
 	m.next()
 }
 
@@ -1186,7 +1220,7 @@ func (m *MACAW) onDS(f *frame.Frame) {
 	}
 	m.clearTimer()
 	m.setState(WFData)
-	m.setTimer(m.env.Cfg.Turnaround+m.env.Cfg.DataTime(int(f.DataBytes))+m.env.Cfg.Margin, m.onExpectTimeout)
+	m.setTimer(m.env.Cfg.Turnaround+m.env.Cfg.DataTime(int(f.DataBytes))+m.env.Cfg.Margin, tExpect)
 }
 
 // onData delivers the payload and returns the ACK (control rule 5). A
@@ -1235,8 +1269,7 @@ func (m *MACAW) sendAck(dst frame.NodeID, seq uint32) {
 	air := m.transmit(ack)
 	m.stats.ACKSent++
 	m.setState(SendData)
-	m.tx = txCtrl
-	m.setTimer(air, m.onCtrlSent)
+	m.setTimer(air, tCtrlSent)
 }
 
 // onRRTS answers a Request-for-RTS (control rule 13): transmit the RTS
@@ -1259,7 +1292,7 @@ func (m *MACAW) onRRTS(f *frame.Frame) {
 	m.stats.RTSSent++
 	m.curDst = head.Dst
 	m.setState(WFCTS)
-	m.setTimer(air+m.env.Cfg.CTSWait(), m.onCTSTimeout)
+	m.setTimer(air+m.env.Cfg.CTSWait(), tCTSTimeout)
 }
 
 // onNACK (§4 alternative): the receiver's CTS went unanswered by data; the

@@ -15,8 +15,8 @@ import (
 func (m *MACAW) AppendState(b []byte) []byte {
 	b = fmt.Appendf(b, "macaw st=%s timer=%d timerCancelled=%t defer=%d carrierClear=%d seq=%d halted=%t\n",
 		m.st, m.timer.When(), m.timer.Cancelled(), m.deferUntil, m.carrierClearAt, m.seq, m.halted)
-	b = fmt.Appendf(b, "macaw.exchange cur={dst=%d rrts=%t} curDst=%d expectSrc=%d rrtsFor=%d rrtsLen=%d hasRRTS=%t rrtsSeen=%d tx=%d wantAck=%t",
-		m.cur.dst, m.cur.rrts, m.curDst, m.expectSrc, m.rrtsFor, m.rrtsLen, m.hasRRTS, m.rrtsSeen, m.tx, m.txWantAck)
+	b = fmt.Appendf(b, "macaw.exchange cur={dst=%d rrts=%t} curDst=%d expectSrc=%d rrtsFor=%d rrtsLen=%d hasRRTS=%t rrtsSeen=%d tk=%d wantAck=%t",
+		m.cur.dst, m.cur.rrts, m.curDst, m.expectSrc, m.rrtsFor, m.rrtsLen, m.hasRRTS, m.rrtsSeen, m.tk, m.txWantAck)
 	b = mac.AppendPacketRef(b, "txHead", m.txHead)
 	b = append(b, '\n')
 	if m.opt.PerStream {

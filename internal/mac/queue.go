@@ -2,39 +2,68 @@ package mac
 
 import "macaw/internal/frame"
 
-// Queue is a FIFO packet queue.
+// Queue is a FIFO packet queue kept in a ring buffer whose capacity is a
+// power of two. Its storage grows to the deepest backlog seen and is reused
+// from then on, so steady push/pop traffic never allocates, however long the
+// queue stays non-empty.
 type Queue struct {
-	items []*Packet
+	buf  []*Packet
+	head int // index of the head packet in buf
+	n    int
 }
 
 // Len returns the number of queued packets.
-func (q *Queue) Len() int { return len(q.items) }
+func (q *Queue) Len() int { return q.n }
+
+// at returns the i-th packet from the head.
+func (q *Queue) at(i int) *Packet { return q.buf[(q.head+i)&(len(q.buf)-1)] }
+
+// grow doubles the ring (at least 4 slots), unwrapping it to start at 0.
+func (q *Queue) grow() {
+	nb := make([]*Packet, max(4, 2*len(q.buf)))
+	for i := 0; i < q.n; i++ {
+		nb[i] = q.at(i)
+	}
+	q.buf, q.head = nb, 0
+}
 
 // Push appends p.
-func (q *Queue) Push(p *Packet) { q.items = append(q.items, p) }
+func (q *Queue) Push(p *Packet) {
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = p
+	q.n++
+}
 
 // PushFront reinstates p at the head of the queue (used when a tentatively
 // completed packet turns out to need retransmission).
 func (q *Queue) PushFront(p *Packet) {
-	q.items = append([]*Packet{p}, q.items...)
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	q.head = (q.head - 1) & (len(q.buf) - 1)
+	q.buf[q.head] = p
+	q.n++
 }
 
 // Peek returns the head without removing it, or nil when empty.
 func (q *Queue) Peek() *Packet {
-	if len(q.items) == 0 {
+	if q.n == 0 {
 		return nil
 	}
-	return q.items[0]
+	return q.buf[q.head]
 }
 
 // Pop removes and returns the head, or nil when empty.
 func (q *Queue) Pop() *Packet {
-	if len(q.items) == 0 {
+	if q.n == 0 {
 		return nil
 	}
-	p := q.items[0]
-	q.items[0] = nil
-	q.items = q.items[1:]
+	p := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
 	return p
 }
 
@@ -43,8 +72,9 @@ func (q *Queue) Pop() *Packet {
 // each queue has its own backoff counter and retry counter". Destinations
 // are tracked in first-seen order so iteration is deterministic.
 type StreamQueues struct {
-	order []frame.NodeID
-	qs    map[frame.NodeID]*Queue
+	order    []frame.NodeID
+	qs       map[frame.NodeID]*Queue
+	nonEmpty []frame.NodeID // NonEmpty's reused result
 }
 
 // NewStreamQueues returns an empty set of per-destination queues.
@@ -71,15 +101,15 @@ func (s *StreamQueues) Queue(dst frame.NodeID) *Queue { return s.qs[dst] }
 func (s *StreamQueues) Destinations() []frame.NodeID { return s.order }
 
 // NonEmpty returns the destinations with at least one queued packet, in
-// first-seen order.
+// first-seen order. The slice is reused: it is valid until the next call.
 func (s *StreamQueues) NonEmpty() []frame.NodeID {
-	var out []frame.NodeID
+	s.nonEmpty = s.nonEmpty[:0]
 	for _, d := range s.order {
 		if s.qs[d].Len() > 0 {
-			out = append(out, d)
+			s.nonEmpty = append(s.nonEmpty, d)
 		}
 	}
-	return out
+	return s.nonEmpty
 }
 
 // TotalLen returns the total number of queued packets across streams.

@@ -11,14 +11,13 @@ import (
 // built environment (DESIGN.md §15).
 // Queued packets are shared — a mac.Packet is immutable once enqueued — and
 // both pending events (the state timer and the silence watchdog) are re-armed
-// at their exact (when, prio, seq) ordering keys. The state timer's callback
-// is discriminated by FSM state: Holding completes a DATA frame when sending
-// is set and resumes after a hold pause when it is nil; Passing watches the
-// successor. The one timer this path cannot reproduce is the ring-bootstrap
-// acquire armed by New at station zero — its handle is discarded at build —
-// but it fires one slot into the run, so it can never still be pending at a
-// warm barrier; if it somehow were, the fork's event heap would hold fewer
-// events than the warm capture and the byte-verification step fails closed.
+// at their exact (when, prio, seq) ordering keys, the state timer from the
+// copied timer kind. The one timer this path cannot reproduce is the
+// ring-bootstrap acquire armed by New at station zero — its handle is
+// discarded at build — but it fires one slot into the run, so it can never
+// still be pending at a warm barrier; if it somehow were, the fork's event
+// heap would hold fewer events than the warm capture and the
+// byte-verification step fails closed.
 func (t *Token) AdoptFrom(peer mac.Engine) error {
 	w, ok := peer.(*Token)
 	if !ok {
@@ -42,21 +41,11 @@ func (t *Token) AdoptFrom(peer mac.Engine) error {
 	t.Regenerations = w.Regenerations
 	t.Skips = w.Skips
 
-	var fn func()
-	switch w.st {
-	case Holding:
-		if w.sending != nil {
-			fn = t.onDataSent
-		} else {
-			fn = t.onHoldPause
-		}
-	case Passing:
-		fn = t.onWatchTimeout
+	t.tk = w.tk
+	if w.tk == tNone && w.timer.Live() {
+		return fmt.Errorf("token: adopt: live timer in state %s with no timer kind", w.st)
 	}
-	if fn == nil && w.timer.Live() {
-		return fmt.Errorf("token: adopt: live timer in state %s, which never arms one", w.st)
-	}
-	t.timer = t.env.Sim.Readopt(w.timer, fn)
-	t.watchdog = t.env.Sim.Readopt(w.watchdog, t.onSilence)
+	t.timer = t.env.Sim.ReadoptCall(w.timer, timerCall, t, w.tk)
+	t.watchdog = t.env.Sim.ReadoptCall(w.watchdog, timerCall, t, tSilence)
 	return nil
 }

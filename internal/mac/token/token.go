@@ -99,6 +99,7 @@ type Token struct {
 	// with when the successor never shows life.
 	skipNext int
 	timer    sim.Event
+	tk       tKind // continuation of the pending state timer
 	watchdog sim.Event
 	seq      uint32
 	halted   bool // crashed instance: every entry point is a no-op
@@ -127,7 +128,7 @@ func New(env *mac.Env, opt Options) *Token {
 	t.armWatchdog()
 	if t.ringPos == 0 {
 		// The first member bootstraps the token once the ring settles.
-		t.env.Sim.After(t.env.Cfg.Slot(), t.acquire)
+		t.after(t.env.Cfg.Slot(), tAcquire)
 	}
 	return t
 }
@@ -213,12 +214,34 @@ func (t *Token) Enqueue(p *mac.Packet) {
 	t.noteQueue("push", p.Dst)
 }
 
-func (t *Token) setTimer(d sim.Duration, fn func()) {
+// tKind names an event continuation. The state timer's kind is kept in tk;
+// tSilence is the watchdog's and tAcquire the ring bootstrap's. Every event
+// is armed through AtPriorityCall with the package-level timerCall and the
+// kind as its argument, so arming one allocates no closure, and warm-started
+// forks re-arm the pending events from the copied kind.
+type tKind int
+
+const (
+	tNone tKind = iota
+	tDataSent
+	tHoldPause
+	tWatchTimeout
+	tSilence
+	tAcquire
+)
+
+func (t *Token) setTimer(d sim.Duration, k tKind) {
 	t.timer.Cancel()
-	t.timer = t.env.Sim.After(d, fn)
+	t.tk = k
+	t.timer = t.after(d, k)
 	if t.env.Obs != nil {
 		t.env.Obs.ObserveTimer(t.timer.When())
 	}
+}
+
+// after schedules continuation k d from now.
+func (t *Token) after(d sim.Duration, k tKind) sim.Event {
+	return t.env.Sim.AtPriorityCall(t.env.Sim.Now()+d, 0, timerCall, t, k)
 }
 
 // clearTimer cancels the state timer, reporting the cancellation. The silence
@@ -227,8 +250,28 @@ func (t *Token) setTimer(d sim.Duration, fn func()) {
 func (t *Token) clearTimer() {
 	t.timer.Cancel()
 	t.timer = sim.Event{}
+	t.tk = tNone
 	if t.env.Obs != nil {
 		t.env.Obs.ObserveTimer(-1)
+	}
+}
+
+// timerCall is the event callback of every token timer: a package-level
+// function, so arming a timer stores (t, kind) in the pooled event record
+// instead of allocating a method-value closure.
+func timerCall(a, b any) {
+	t := a.(*Token)
+	switch b.(tKind) {
+	case tDataSent:
+		t.onDataSent()
+	case tHoldPause:
+		t.onHoldPause()
+	case tWatchTimeout:
+		t.onWatchTimeout()
+	case tSilence:
+		t.onSilence()
+	case tAcquire:
+		t.acquire()
 	}
 }
 
@@ -265,7 +308,7 @@ func (t *Token) noteDrop(dst frame.NodeID, reason mac.DropReason) {
 // armWatchdog (re)starts the silence watchdog that triggers token recovery.
 func (t *Token) armWatchdog() {
 	t.watchdog.Cancel()
-	t.watchdog = t.env.Sim.After(sim.Duration(t.opt.RecoverySlots+t.ringPos)*t.env.Cfg.Slot(), t.onSilence)
+	t.watchdog = t.after(sim.Duration(t.opt.RecoverySlots+t.ringPos)*t.env.Cfg.Slot(), tSilence)
 }
 
 // onSilence fires when nothing has been heard for the recovery window. The
@@ -306,7 +349,7 @@ func (t *Token) serve() {
 	data := &frame.Frame{Type: frame.DATA, Src: t.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
 	air := t.transmit(data)
 	t.sending = head
-	t.setTimer(air, t.onDataSent)
+	t.setTimer(air, tDataSent)
 }
 
 // onDataSent completes the data frame on the air and keeps serving.
@@ -343,7 +386,7 @@ func (t *Token) pass(skip int) {
 		// Everyone else looks dead; keep the token and try again after
 		// a recovery pause.
 		t.setState(Holding)
-		t.setTimer(sim.Duration(t.opt.RecoverySlots)*t.env.Cfg.Slot(), t.onHoldPause)
+		t.setTimer(sim.Duration(t.opt.RecoverySlots)*t.env.Cfg.Slot(), tHoldPause)
 		return
 	}
 	t.passTo = (t.ringPos + skip) % len(t.opt.Ring)
@@ -351,14 +394,14 @@ func (t *Token) pass(skip int) {
 	if succ == t.env.ID() {
 		// Ring of one: keep serving after a slot's pause.
 		t.sentThis = 0
-		t.setTimer(t.env.Cfg.Slot(), t.onHoldPause)
+		t.setTimer(t.env.Cfg.Slot(), tHoldPause)
 		return
 	}
 	tok := &frame.Frame{Type: frame.TOKEN, Src: t.env.ID(), Dst: succ}
 	air := t.transmit(tok)
 	t.setState(Passing)
 	t.skipNext = skip + 1
-	t.setTimer(air+sim.Duration(t.opt.WatchSlots)*t.env.Cfg.Slot(), t.onWatchTimeout)
+	t.setTimer(air+sim.Duration(t.opt.WatchSlots)*t.env.Cfg.Slot(), tWatchTimeout)
 }
 
 // RadioCarrier implements phy.Handler; token access needs no carrier sense.

@@ -43,14 +43,10 @@ func (t *Tournament) AdoptFrom(peer mac.Engine) error {
 	t.stats = w.stats
 
 	t.tk = w.tk
-	var fn func()
-	if w.tk != tNone {
-		fn = t.timerFn(w.tk)
+	if w.tk == tNone && w.timer.Live() {
+		return fmt.Errorf("tournament: adopt: live timer in state %s with no timer kind", w.st)
 	}
-	if fn == nil && w.timer.Live() {
-		return fmt.Errorf("tournament: adopt: live timer with kind %d, which has no continuation", w.tk)
-	}
-	t.timer = t.env.Sim.Readopt(w.timer, fn)
+	t.timer = t.env.Sim.ReadoptCall(w.timer, timerCall, t, w.tk)
 	return nil
 }
 

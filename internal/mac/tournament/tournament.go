@@ -218,25 +218,27 @@ func (t *Tournament) Enqueue(p *mac.Packet) {
 	}
 }
 
-// timerFn maps a timer kind to its continuation.
-func (t *Tournament) timerFn(k tKind) func() {
-	switch k {
+// timerCall is the state timer's event callback: a package-level function,
+// so arming the timer stores (t, kind) in the pooled event record instead of
+// allocating a method-value closure.
+func timerCall(a, b any) {
+	t := a.(*Tournament)
+	switch b.(tKind) {
 	case tBoundary:
-		return t.onBoundary
+		t.onBoundary()
 	case tRound:
-		return t.onRoundEnd
+		t.onRoundEnd()
 	case tDataAir:
-		return t.onDataAirDone
+		t.onDataAirDone()
 	case tACKTimeout:
-		return t.onACKTimeout
+		t.onACKTimeout()
 	}
-	return nil
 }
 
 func (t *Tournament) setTimer(dur sim.Duration, k tKind) {
 	t.timer.Cancel()
 	t.tk = k
-	t.timer = t.env.Sim.After(dur, t.timerFn(k))
+	t.timer = t.env.Sim.AtPriorityCall(t.env.Sim.Now()+dur, 0, timerCall, t, k)
 	if t.env.Obs != nil {
 		t.env.Obs.ObserveTimer(t.timer.When())
 	}

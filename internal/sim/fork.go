@@ -48,9 +48,8 @@ func (s *Simulator) QueueLen() int { return len(s.queue) }
 // records. Fork adoption drops the freshly built queue before re-arming the
 // warm twin's events at their exact ordering keys.
 func (s *Simulator) DropAllEvents() {
-	for _, e := range s.queue {
-		e.index = -1
-		s.recycle(e)
+	for _, x := range s.queue {
+		s.recycle(x.id)
 	}
 	s.queue = s.queue[:0]
 	s.ncancelled = 0
@@ -59,13 +58,15 @@ func (s *Simulator) DropAllEvents() {
 // SetFreeList resizes the pool of recycled event records to exactly n. Only
 // the length is observable (the state inventory captures it so pooling drift
 // surfaces as divergence); the records themselves carry no state.
+// Surplus records stay in the record table, unreferenced.
 func (s *Simulator) SetFreeList(n int) {
-	for i := range s.free {
-		s.free[i] = nil
+	if n <= len(s.free) {
+		s.free = s.free[:n]
+		return
 	}
-	s.free = s.free[:0]
-	for i := 0; i < n; i++ {
-		s.free = append(s.free, &event{s: s})
+	for len(s.free) < n {
+		id, _ := s.newRecord()
+		s.free = append(s.free, id)
 	}
 }
 
@@ -83,41 +84,26 @@ func SyntheticHandle(when Time, cancelled bool) Event {
 // state that should not have one.
 func (r Event) Live() bool { return r.live() }
 
-// Readopt re-creates src — an event pending in a warmed twin simulator — in s
-// at its exact (when, prio, seq) ordering key, without advancing s's own
-// sequence counter. fn is the adopting side's callback (typically the same
-// named method on the fork's own instance). When src is not live (already
-// fired or cancelled-and-reclaimed in its owner), Readopt returns a synthetic
-// handle reproducing its observable When/Cancelled values instead.
-func (s *Simulator) Readopt(src Event, fn func()) Event {
-	if !src.live() {
-		return SyntheticHandle(src.when, src.cancelled)
-	}
-	e := s.alloc()
-	e.when, e.prio, e.seq, e.fn, e.cancelled = src.e.when, src.e.prio, src.e.seq, fn, src.e.cancelled
-	s.heapPush(e)
-	if e.cancelled {
-		s.ncancelled++
-	}
-	return Event{e: e, seq: e.seq, when: e.when}
-}
-
-// ReadoptCall is Readopt for closure-free events scheduled with
-// AtPriorityCall: callFn(a, b) rides in the pooled record, with a and b
-// supplied by the adopting side (they reference the fork's own structures,
-// never the warm twin's).
+// ReadoptCall re-creates src — an event pending in a warmed twin simulator,
+// scheduled there with AtPriorityCall — in s at its exact (when, prio, seq)
+// ordering key, without advancing s's own sequence counter. callFn(a, b)
+// rides in the pooled record, with a and b supplied by the adopting side
+// (they reference the fork's own structures, never the warm twin's). When
+// src is not live (already fired or cancelled-and-reclaimed in its owner),
+// ReadoptCall returns a synthetic handle reproducing its observable
+// When/Cancelled values instead.
 func (s *Simulator) ReadoptCall(src Event, callFn func(a, b any), a, b any) Event {
 	if !src.live() {
 		return SyntheticHandle(src.when, src.cancelled)
 	}
-	e := s.alloc()
-	e.when, e.prio, e.seq, e.cancelled = src.e.when, src.e.prio, src.e.seq, src.e.cancelled
-	e.callFn, e.argA, e.argB = callFn, a, b
-	s.heapPush(e)
+	id, e := s.alloc()
+	e.seq, e.prio, e.cancelled = src.e.seq, src.e.prio, src.e.cancelled
+	e.fn, e.callFn, e.argA, e.argB = nil, callFn, a, b
+	s.heapPush(entry{when: src.when, seq: e.seq, prio: e.prio, id: id})
 	if e.cancelled {
 		s.ncancelled++
 	}
-	return Event{e: e, seq: e.seq, when: e.when}
+	return Event{e: e, seq: e.seq, when: src.when}
 }
 
 // AdvanceRNG fast-forwards every RNG stream to the given cursors by drawing

@@ -9,7 +9,10 @@
 // Scheduled callbacks are held in pooled event records: a fired or discarded
 // record goes onto a per-simulator free list and is reused by the next
 // At/After call, so steady-state simulation does not allocate one object per
-// event. The Event values handed to callers are seq-validated handles that
+// event. Records live in a per-simulator table and the heap holds
+// pointer-free entries (ordering key plus table index), so the innermost
+// loop moves plain words and never feeds the garbage collector's write
+// barrier. The Event values handed to callers are seq-validated handles that
 // keep behaving exactly like a reference to their original event (When,
 // Cancel, Cancelled) even after the underlying record has been recycled.
 // The free list is per-simulator rather than a sync.Pool: a Simulator is
@@ -49,13 +52,15 @@ func (t Time) String() string { return fmt.Sprintf("%.6fs", t.Seconds()) }
 // FromSeconds converts floating-point seconds to a simulation Time.
 func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
 
-// event is a pooled scheduled-callback record. seq doubles as the record's
-// incarnation: it is unique per scheduling and zeroed when the record is
-// recycled, so stale handles can tell that their event is gone.
+// event is a pooled scheduled-callback record, addressed by its index in
+// the simulator's record table. seq doubles as the record's incarnation: it
+// is unique per scheduling and zeroed when the record is recycled, so stale
+// handles can tell that their event is gone. The ordering key lives in the
+// heap entry; the record keeps prio only so fork adoption can re-create a
+// pending event from its handle.
 type event struct {
-	when Time
-	prio int
 	seq  uint64
+	prio int32
 	fn   func()
 	// callFn/argA/argB are the closure-free alternative to fn (see
 	// AtPriorityCall): the function value and its arguments ride in the
@@ -63,8 +68,18 @@ type event struct {
 	callFn     func(a, b any)
 	argA, argB any
 	cancelled  bool
-	index      int // position in the heap, -1 once popped
 	s          *Simulator
+}
+
+// entry is one heap slot: a pending event's full ordering key plus the
+// index of its record. It holds no pointers, so sifting entries moves plain
+// words with no GC write barriers, and comparing two entries never touches
+// a record.
+type entry struct {
+	when Time
+	seq  uint64
+	prio int32
+	id   int32
 }
 
 // Event is a handle to a scheduled callback. The zero Event refers to no
@@ -131,15 +146,15 @@ func (r *Event) Cancelled() bool {
 	return r.cancelled
 }
 
-// eventHeap is a hand-rolled binary min-heap ordered by eventLess. It
-// replaces container/heap to keep comparisons and sifts free of interface
-// dispatch — the queue is the simulator's innermost loop. Because eventLess
-// is a total order (seq is unique), the pop sequence is independent of the
-// heap's internal layout, so this substitution cannot change a run.
-type eventHeap []*event
+// The event queue is a hand-rolled binary min-heap of entries ordered by
+// entryLess. It replaces container/heap to keep comparisons and sifts free
+// of interface dispatch — the queue is the simulator's innermost loop.
+// Because entryLess is a total order (seq is unique), the pop sequence is
+// independent of the heap's internal layout, so neither the substitution nor
+// the heap's arity can change a run.
 
-// eventLess orders events by (time, priority, insertion).
-func eventLess(a, b *event) bool {
+// entryLess orders events by (time, priority, insertion).
+func entryLess(a, b entry) bool {
 	if a.when != b.when {
 		return a.when < b.when
 	}
@@ -149,65 +164,58 @@ func eventLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// heapPush inserts e and sifts it up to its place.
-func (s *Simulator) heapPush(e *event) {
-	h := append(s.queue, e)
+// heapPush inserts x and sifts it up to its place.
+func (s *Simulator) heapPush(x entry) {
+	s.queue = append(s.queue, x)
+	h := s.queue
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !eventLess(e, h[p]) {
+		if !entryLess(x, h[p]) {
 			break
 		}
 		h[i] = h[p]
-		h[i].index = i
 		i = p
 	}
-	h[i] = e
-	e.index = i
-	s.queue = h
+	h[i] = x
 	if len(h) > s.maxQueue {
 		s.maxQueue = len(h)
 	}
 }
 
 // siftDown restores the heap property below i, assuming s.queue[i] is the
-// only possibly-misplaced element.
+// only possibly-misplaced entry.
 func (s *Simulator) siftDown(i int) {
 	h := s.queue
 	n := len(h)
-	e := h[i]
+	x := h[i]
 	for {
 		c := 2*i + 1
 		if c >= n {
 			break
 		}
-		if r := c + 1; r < n && eventLess(h[r], h[c]) {
+		if r := c + 1; r < n && entryLess(h[r], h[c]) {
 			c = r
 		}
-		if !eventLess(h[c], e) {
+		if !entryLess(h[c], x) {
 			break
 		}
 		h[i] = h[c]
-		h[i].index = i
 		i = c
 	}
-	h[i] = e
-	e.index = i
+	h[i] = x
 }
 
-// heapPop removes and returns the earliest event.
-func (s *Simulator) heapPop() *event {
-	h := s.queue
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = nil
-	s.queue = h[:n]
+// heapPop removes and returns the earliest entry.
+func (s *Simulator) heapPop() entry {
+	top := s.queue[0]
+	n := len(s.queue) - 1
+	last := s.queue[n]
+	s.queue = s.queue[:n]
 	if n > 0 {
 		s.queue[0] = last
 		s.siftDown(0)
 	}
-	top.index = -1
 	return top
 }
 
@@ -218,13 +226,14 @@ const compactMin = 64
 // Simulator owns the event queue and the simulation clock.
 type Simulator struct {
 	now        Time
-	queue      eventHeap
+	queue      []entry  // binary min-heap of pending events
+	recs       []*event // record table: every event record, by id
 	seq        uint64
 	seed       int64
 	streams    int64
 	rng        *rand.Rand
 	stopped    bool
-	free       []*event          // recycled event records
+	free       []int32           // ids of recycled event records
 	ncancelled int               // cancelled events still sitting in the queue
 	nfired     uint64            // events fired by Step over the simulator's lifetime
 	maxQueue   int               // high-water mark of the event queue length
@@ -281,24 +290,51 @@ func (s *Simulator) SetNextStream(k int64) {
 }
 
 // alloc takes an event record off the free list, or makes one.
-func (s *Simulator) alloc() *event {
+func (s *Simulator) alloc() (int32, *event) {
 	if n := len(s.free); n > 0 {
-		e := s.free[n-1]
-		s.free[n-1] = nil
+		id := s.free[n-1]
 		s.free = s.free[:n-1]
-		return e
+		return id, s.recs[id]
 	}
-	return &event{s: s}
+	return s.newRecord()
+}
+
+// newRecord appends a fresh record to the table.
+func (s *Simulator) newRecord() (int32, *event) {
+	id := int32(len(s.recs))
+	if int(id) != len(s.recs) {
+		panic("sim: event record table overflow")
+	}
+	e := &event{s: s}
+	s.recs = append(s.recs, e)
+	return id, e
 }
 
 // recycle marks a popped or discarded record dead (stale handles see a seq
-// mismatch), drops its closure, and returns it to the free list.
-func (s *Simulator) recycle(e *event) {
-	e.seq = 0
-	e.fn = nil
-	e.callFn = nil
-	e.argA, e.argB = nil, nil
-	s.free = append(s.free, e)
+// mismatch) and returns it to the free list. The callback fields are left
+// for the next scheduling to overwrite: clearing them here would cost four
+// pointer stores per event, and the free list is never longer than the
+// queue's high-water mark, so what they keep alive is bounded.
+func (s *Simulator) recycle(id int32) {
+	s.recs[id].seq = 0
+	s.free = append(s.free, id)
+}
+
+// schedule takes a record for a new event at (t, prio), gives it the next
+// sequence number, and queues it. The caller fills in the callback.
+func (s *Simulator) schedule(t Time, prio int) *event {
+	if t < s.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
+	}
+	p := int32(prio)
+	if int(p) != prio {
+		panic(fmt.Sprintf("sim: priority %d out of range", prio))
+	}
+	s.seq++
+	id, e := s.alloc()
+	e.seq, e.prio, e.cancelled = s.seq, p, false
+	s.heapPush(entry{when: t, seq: s.seq, prio: p, id: id})
+	return e
 }
 
 // At schedules fn to run at time t with default (zero) priority.
@@ -315,16 +351,11 @@ func (s *Simulator) At(t Time, fn func()) Event {
 // ordering a real receiver sees, where decoding completes before any local
 // decision taken at the same moment.
 func (s *Simulator) AtPriority(t Time, prio int, fn func()) Event {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
-	}
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	s.seq++
-	e := s.alloc()
-	e.when, e.prio, e.seq, e.fn, e.cancelled = t, prio, s.seq, fn, false
-	s.heapPush(e)
+	e := s.schedule(t, prio)
+	e.fn, e.callFn, e.argA, e.argB = fn, nil, nil, nil
 	return Event{e: e, seq: e.seq, when: t}
 }
 
@@ -336,17 +367,11 @@ func (s *Simulator) AtPriority(t Time, prio int, fn func()) Event {
 // should be a package-level function or another long-lived value; a and b
 // carry whatever it needs (either may be nil).
 func (s *Simulator) AtPriorityCall(t Time, prio int, fn func(a, b any), a, b any) Event {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
-	}
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	s.seq++
-	e := s.alloc()
-	e.when, e.prio, e.seq, e.cancelled = t, prio, s.seq, false
-	e.callFn, e.argA, e.argB = fn, a, b
-	s.heapPush(e)
+	e := s.schedule(t, prio)
+	e.fn, e.callFn, e.argA, e.argB = nil, fn, a, b
 	return Event{e: e, seq: e.seq, when: t}
 }
 
@@ -389,10 +414,9 @@ func (s *Simulator) NextEventTime() (t Time, ok bool) {
 // outnumber live ones it compacts the whole heap, so long runs with many
 // cancelled timers do not bloat Pending() or per-operation heap costs.
 func (s *Simulator) purge() {
-	for len(s.queue) > 0 && s.queue[0].cancelled {
-		e := s.heapPop()
+	for len(s.queue) > 0 && s.recs[s.queue[0].id].cancelled {
 		s.ncancelled--
-		s.recycle(e)
+		s.recycle(s.heapPop().id)
 	}
 	if s.ncancelled > len(s.queue)/2 && len(s.queue) >= compactMin {
 		s.compact()
@@ -405,21 +429,15 @@ func (s *Simulator) purge() {
 // the simulation.
 func (s *Simulator) compact() {
 	kept := s.queue[:0]
-	for _, e := range s.queue {
-		if e.cancelled {
+	for _, x := range s.queue {
+		if s.recs[x.id].cancelled {
 			s.ncancelled--
-			s.recycle(e)
+			s.recycle(x.id)
 		} else {
-			kept = append(kept, e)
+			kept = append(kept, x)
 		}
 	}
-	for i := len(kept); i < len(s.queue); i++ {
-		s.queue[i] = nil
-	}
 	s.queue = kept
-	for i, e := range s.queue {
-		e.index = i
-	}
 	// Floyd heapify: O(n) rebuild of the heap property.
 	for i := len(s.queue)/2 - 1; i >= 0; i-- {
 		s.siftDown(i)
@@ -433,11 +451,12 @@ func (s *Simulator) Step() bool {
 	if len(s.queue) == 0 {
 		return false
 	}
-	e := s.heapPop()
-	s.now = e.when
+	x := s.heapPop()
+	e := s.recs[x.id]
+	s.now = x.when
 	s.nfired++
 	fn, callFn, a, b := e.fn, e.callFn, e.argA, e.argB
-	s.recycle(e)
+	s.recycle(x.id)
 	if fn != nil {
 		fn()
 	} else {

@@ -105,13 +105,13 @@ func (s *Simulator) AppendState(b []byte) []byte {
 	for _, c := range s.StreamCursors() {
 		b = fmt.Appendf(b, "rng stream=%d draws=%d\n", c.Stream, c.Draws)
 	}
-	evs := make([]*event, len(s.queue))
-	copy(evs, s.queue)
-	sort.Slice(evs, func(i, j int) bool { return eventLess(evs[i], evs[j]) })
+	evs := append([]entry(nil), s.queue...)
+	sort.Slice(evs, func(i, j int) bool { return entryLess(evs[i], evs[j]) })
 	b = fmt.Appendf(b, "heap n=%d\n", len(evs))
-	for _, e := range evs {
+	for _, x := range evs {
+		e := s.recs[x.id]
 		b = fmt.Appendf(b, "ev when=%d prio=%d seq=%d cancelled=%t fn=%s argA=%T argB=%T\n",
-			e.when, e.prio, e.seq, e.cancelled, funcName(e), e.argA, e.argB)
+			x.when, x.prio, x.seq, e.cancelled, funcName(e), e.argA, e.argB)
 	}
 	return b
 }

@@ -63,7 +63,7 @@ func (c *CBR) Start(t sim.Time) {
 		return
 	}
 	c.running = true
-	c.ev = c.s.At(t+c.phase, c.tick)
+	c.ev = c.s.AtPriorityCall(t+c.phase, 0, cbrTick, c, nil)
 }
 
 // Stop implements Generator.
@@ -76,6 +76,13 @@ func (c *CBR) Stop(t sim.Time) {
 	}
 }
 
+// cbrTick and poissonTick are the sources' event callbacks: package-level
+// functions, so each tick is scheduled through AtPriorityCall with the source
+// in the pooled event record instead of a method-value closure.
+func cbrTick(a, _ any) { a.(*CBR).tick() }
+
+func poissonTick(a, _ any) { a.(*Poisson).tick() }
+
 func (c *CBR) tick() {
 	if !c.running || (c.hasStop && c.s.Now() >= c.stopAt) {
 		c.running = false
@@ -83,7 +90,7 @@ func (c *CBR) tick() {
 	}
 	c.count++
 	c.offer()
-	c.ev = c.s.After(c.interval, c.tick)
+	c.ev = c.s.AtPriorityCall(c.s.Now()+c.interval, 0, cbrTick, c, nil)
 }
 
 // Poisson emits packets with exponentially distributed gaps at the given
@@ -120,7 +127,7 @@ func (p *Poisson) Start(t sim.Time) {
 		return
 	}
 	p.running = true
-	p.ev = p.s.At(t+p.gap(), p.tick)
+	p.ev = p.s.AtPriorityCall(t+p.gap(), 0, poissonTick, p, nil)
 }
 
 // Stop implements Generator.
@@ -144,7 +151,7 @@ func (p *Poisson) tick() {
 	}
 	p.count++
 	p.offer()
-	p.ev = p.s.After(p.gap(), p.tick)
+	p.ev = p.s.AtPriorityCall(p.s.Now()+p.gap(), 0, poissonTick, p, nil)
 }
 
 // AppendState appends the source's full state for the snapshot inventory

@@ -125,3 +125,19 @@ func TestGeneratorInterfaces(t *testing.T) {
 	var _ Generator = NewCBR(s, 1, nil, func() {})
 	var _ Generator = NewPoisson(s, 1, s.NewRand(), func() {})
 }
+
+// TestCBRTickAllocationFree pins the closure-free tick: each tick is
+// scheduled through AtPriorityCall with the source in the pooled event
+// record, so a steady CBR source allocates nothing per packet.
+func TestCBRTickAllocationFree(t *testing.T) {
+	s := sim.New(1)
+	n := 0
+	c := NewCBR(s, 64, nil, func() { n++ })
+	c.Start(0)
+	if a := testing.AllocsPerRun(100, func() { s.Step() }); a != 0 {
+		t.Fatalf("one CBR tick allocated %.1f times, want 0", a)
+	}
+	if n != 101 {
+		t.Fatalf("generated %d packets over 101 ticks", n)
+	}
+}

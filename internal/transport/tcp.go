@@ -125,8 +125,14 @@ func (t *TCPSender) armTimer() {
 	if !t.timer.IsZero() && !t.timer.Cancelled() {
 		return
 	}
-	t.timer = t.ep.Clock().After(t.currentRTO(), t.onTimeout)
+	clk := t.ep.Clock()
+	t.timer = clk.AtPriorityCall(clk.Now()+t.currentRTO(), 0, rtoCall, t, nil)
 }
+
+// rtoCall is the retransmission timer's event callback: a package-level
+// function, so arming the timer stores the sender in the pooled event record
+// instead of allocating a method-value closure.
+func rtoCall(a, _ any) { a.(*TCPSender).onTimeout() }
 
 func (t *TCPSender) currentRTO() sim.Duration {
 	rto := t.rto

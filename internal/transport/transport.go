@@ -61,15 +61,21 @@ func (s Segment) String() string {
 	return fmt.Sprintf("%s stream=%d seq=%d ack=%d", k, s.Stream, s.Seq, s.Ack)
 }
 
-// Marshal encodes the segment header.
+// Marshal encodes the segment header into a new buffer.
 func (s Segment) Marshal() []byte {
-	b := make([]byte, HeaderLen)
+	b := new([HeaderLen]byte)
+	s.Put(b)
+	return b[:]
+}
+
+// Put encodes the segment header into b, so a caller can place the header
+// storage inside an object it allocates anyway.
+func (s Segment) Put(b *[HeaderLen]byte) {
 	b[0] = byte(s.Proto)
 	binary.BigEndian.PutUint16(b[1:], s.Stream)
 	b[3] = byte(s.Kind)
 	binary.BigEndian.PutUint32(b[4:], s.Seq)
 	binary.BigEndian.PutUint32(b[8:], s.Ack)
-	return b
 }
 
 // ErrShortSegment reports an undecodable segment buffer.
