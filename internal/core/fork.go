@@ -39,7 +39,14 @@ var ErrForkDiverged = errors.New("core: forked state diverged from warm twin")
 // — in practice, parked at a barrier by RunTo — and must have a compacted
 // event queue (ForceCompactEvents) so both heaps hold exactly the same
 // records.
-func (n *Network) AdoptFrom(w *Network) error {
+func (n *Network) AdoptFrom(w *Network) error { return n.AdoptFromState(w, w.AppendState(nil)) }
+
+// AdoptFromState is AdoptFrom verified against want, a capture of w's state
+// inventory (w.AppendState) taken at its current barrier. A caller forking
+// many variants from one parked twin renders that capture once instead of
+// once per fork. A want that no longer matches w fails the verification
+// exactly as a diverged fork does.
+func (n *Network) AdoptFromState(w *Network, want []byte) error {
 	// Build-time events (token's ring bootstrap and watchdogs) may already
 	// be pending — DropAllEvents clears them below — but no event may have
 	// fired: a fork that has run has consumed RNG draws and mutated state
@@ -96,8 +103,7 @@ func (n *Network) AdoptFrom(w *Network) error {
 	// The proof obligation: the adopted inventory must be byte-identical
 	// to the warm twin's. Any copy this file missed — a new engine field,
 	// a new layer — surfaces here, before any post-barrier event fires.
-	want := w.AppendState(nil)
-	got := n.AppendState(nil)
+	got := n.AppendState(make([]byte, 0, len(want)))
 	if string(want) != string(got) {
 		return fmt.Errorf("%w at %s", ErrForkDiverged, firstDiffLine(want, got))
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"macaw/internal/sim"
 )
@@ -99,14 +100,21 @@ func (l *offerLog) appendState(b []byte) []byte {
 			n++
 		}
 	}
-	b = fmt.Appendf(b, "offeredAt n=%d", n)
+	b = strconv.AppendInt(append(b, "offeredAt n="...), int64(n), 10)
 	for _, o := range l.old {
-		b = fmt.Appendf(b, " %d@%d", o.seq, o.at)
+		b = appendOffer(b, o.seq, o.at)
 	}
 	for i, at := range l.window {
 		if at != consumed {
-			b = fmt.Appendf(b, " %d@%d", l.base+uint32(i)+1, at)
+			b = appendOffer(b, l.base+uint32(i)+1, at)
 		}
 	}
 	return append(b, '\n')
+}
+
+// appendOffer appends " seq@at" with strconv: the offer log is the longest
+// line of a stream's capture.
+func appendOffer(b []byte, seq uint32, at sim.Time) []byte {
+	b = strconv.AppendUint(append(b, ' '), uint64(seq), 10)
+	return strconv.AppendInt(append(b, '@'), int64(at), 10)
 }

@@ -66,6 +66,31 @@ func TestOfferLogRetiresLostSeqs(t *testing.T) {
 	}
 }
 
+// TestOfferLogDumpBytes pins the strconv rendering of the offer log byte
+// for byte with both halves populated: undelivered seqs retired from the
+// window (in old) followed by pending window slots. Rendering into a buffer
+// with room allocates nothing.
+func TestOfferLogDumpBytes(t *testing.T) {
+	var l offerLog
+	for seq := uint32(1); seq <= 9; seq++ {
+		l.add(seq, sim.Time(seq)*1000000007)
+		if seq != 2 && seq < 8 {
+			l.take(seq)
+		}
+	}
+	if len(l.old) != 1 || l.base == 0 {
+		t.Fatalf("old=%v base=%d; the test wants a retired half", l.old, l.base)
+	}
+	want := "offeredAt n=3 2@2000000014 8@8000000056 9@9000000063\n"
+	if got := string(l.appendState(nil)); got != want {
+		t.Fatalf("state = %q, want %q", got, want)
+	}
+	buf := make([]byte, 0, 256)
+	if n := testing.AllocsPerRun(100, func() { l.appendState(buf) }); n != 0 {
+		t.Fatalf("rendering the offer log allocated %.1f times, want 0", n)
+	}
+}
+
 // TestOfferLogCopy checks the fork copy: same pending set, independent
 // storage.
 func TestOfferLogCopy(t *testing.T) {

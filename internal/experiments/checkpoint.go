@@ -275,27 +275,31 @@ func mergeBarrier(bs []sim.Time, t, start, end sim.Time) []sim.Time {
 // WarmSource is a warmed twin parked at its barrier, ready to be forked.
 // Net must be stopped exactly at Barrier with its event queue compacted
 // (core.Network.ForceCompactEvents); Aud is the oracle that observed the
-// warmup when the runs are audited, nil otherwise. Adoption only reads the
-// twin, so one WarmSource serves any number of sequential forks; the sweep
-// engine serializes access per source.
+// warmup when the runs are audited, nil otherwise. State is Net's state
+// inventory (core.Network.AppendState) captured once at the barrier: every
+// fork is verified against it, so the twin is rendered once, not once per
+// fork. Adoption only reads the twin, so one WarmSource serves any number of
+// sequential forks; the sweep engine serializes access per source.
 type WarmSource struct {
 	Net     *core.Network
 	Aud     *oracle.Oracle
 	Barrier sim.Time
+	State   []byte
 }
 
 // runTail executes a warm-started run: the freshly built network adopts the
-// twin's state at the barrier (byte-verified inside AdoptFrom — divergence
-// fails closed), the oracle adopts the warmup's expectations, the variant's
-// delta is applied, and only the tail simulates. The produced Results and
-// final state inventory are byte-identical to a cold run applying the same
-// delta at the same barrier — TestSweepWarmMatchesCold holds the line.
+// twin's state at the barrier (byte-verified against the stored capture
+// inside AdoptFromState — divergence fails closed), the oracle adopts the
+// warmup's expectations, the variant's delta is applied, and only the tail
+// simulates. The produced Results and final state inventory are
+// byte-identical to a cold run applying the same delta at the same barrier —
+// TestSweepWarmMatchesCold holds the line.
 func (rc runCtl) runTail(n *core.Network) core.Results {
 	cfg := rc.cfg
 	if cfg.Checkpoint != nil {
 		panic("experiments: a warm-started run cannot carry a checkpoint plan")
 	}
-	if err := n.AdoptFrom(rc.warm.Net); err != nil {
+	if err := n.AdoptFromState(rc.warm.Net, rc.warm.State); err != nil {
 		panic(fmt.Sprintf("experiments: forking %s: %v", rc.label, err))
 	}
 	if rc.aud.o != nil {

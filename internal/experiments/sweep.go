@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -224,7 +225,7 @@ func (s *sweeper) doWarm(col sweepCol) *WarmSource {
 	barrier := n.Sim.Now() + sim.Time(cfg.Warmup)
 	n.RunTo(barrier)
 	n.ForceCompactEvents()
-	src := &WarmSource{Net: n, Aud: a.o, Barrier: barrier}
+	src := &WarmSource{Net: n, Aud: a.o, Barrier: barrier, State: n.AppendState(nil)}
 	s.note(func(i *SweepInfo) { i.Warmups++ })
 	s.syncCache(col, src)
 	return src
@@ -234,7 +235,7 @@ func (s *sweeper) doWarm(col sweepCol) *WarmSource {
 // network first, oracle expectations second — the order runCtl.capture
 // uses, so cached warm snapshots compare line by line with checkpoints.
 func warmState(src *WarmSource) []byte {
-	b := src.Net.AppendState(nil)
+	b := slices.Clip(src.State)
 	if src.Aud != nil {
 		b = src.Aud.AppendState(b)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -61,6 +62,30 @@ func TestSweepWarmMatchesCold(t *testing.T) {
 		if coldInfo.ColdRuns != cells || coldInfo.Warmups != 0 || coldInfo.Forks != 0 {
 			t.Fatalf("seed %d: cold sweep ran %+v", seed, coldInfo)
 		}
+	}
+}
+
+// TestSweepStoredWarmCaptureStaysCurrent pins the premise of verifying every
+// fork against the capture stored at the barrier: forking only reads the
+// warm twin, so once every variant of a protocol has forked from it and run
+// its tail, rendering the twin afresh must still reproduce the stored bytes.
+func TestSweepStoredWarmCaptureStaysCurrent(t *testing.T) {
+	cfg := sweepCfg(2).ForTable("sweep")
+	s := &sweeper{cfg: cfg, warms: make(map[string]*warmRun)}
+	for _, col := range sweepCols() {
+		s.warms[col.name] = &warmRun{}
+		for _, v := range sweepTestVariants {
+			cfgv := cfg
+			cfgv.Delta = &snapshot.Delta{Kind: v.Kind, Value: v.Value}
+			s.runCell(cfgv, v, col)
+		}
+		src := s.warm(col)
+		if got := src.Net.AppendState(nil); !bytes.Equal(got, src.State) {
+			t.Fatalf("%s: warm twin's capture changed while it was forked:\n--- stored ---\n%s\n--- now ---\n%s", col.name, src.State, got)
+		}
+	}
+	if want := len(sweepCols()) * len(sweepTestVariants); s.info.Forks != want || s.info.Warmups != len(sweepCols()) {
+		t.Fatalf("ran %+v, want %d forks from %d warmups", s.info, want, len(sweepCols()))
 	}
 }
 

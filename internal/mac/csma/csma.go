@@ -66,6 +66,9 @@ type CSMA struct {
 	seq     uint32
 	halted  bool // crashed instance: every entry point is a no-op
 	stats   mac.Stats
+	// out is the outbox every outgoing frame is built in. The radio copies
+	// the frame on Transmit, so one buffer serves every send.
+	out frame.Frame
 }
 
 // New returns a CSMA instance bound to env's radio.
@@ -257,7 +260,8 @@ func (c *CSMA) attempt() {
 		c.schedule()
 		return
 	}
-	data := &frame.Frame{Type: frame.DATA, Src: c.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
+	data := &c.out
+	*data = frame.Frame{Type: frame.DATA, Src: c.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
 	c.pol.StampSend(data)
 	air := c.transmit(data)
 	c.setState(Sending)
@@ -340,7 +344,8 @@ func (c *CSMA) RadioReceive(f *frame.Frame) {
 		}
 		c.env.Callbacks.NotifyDeliver(f.Src, f.Payload)
 		if c.opt.ACK && !c.env.Radio.Transmitting() {
-			ack := &frame.Frame{Type: frame.ACK, Src: c.env.ID(), Dst: f.Src, Seq: f.Seq}
+			ack := &c.out
+			*ack = frame.Frame{Type: frame.ACK, Src: c.env.ID(), Dst: f.Src, Seq: f.Seq}
 			c.pol.StampSend(ack)
 			// The ACK may itself collide; CSMA has no protection.
 			air := c.transmit(ack)

@@ -156,6 +156,9 @@ type DCF struct {
 	seq     uint32
 	halted  bool // crashed instance: every entry point is a no-op
 	stats   mac.Stats
+	// out is the outbox every outgoing frame is built in. The radio copies
+	// the frame on Transmit, so one buffer serves every send.
+	out frame.Frame
 }
 
 // New returns a DCF instance bound to env's radio. The link-layer sequence
@@ -393,14 +396,16 @@ func (d *DCF) attempt() {
 		return
 	}
 	if head.Dst == frame.Broadcast {
-		data := &frame.Frame{Type: frame.DATA, Src: d.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
+		data := &d.out
+		*data = frame.Frame{Type: frame.DATA, Src: d.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
 		air := d.transmit(data)
 		d.sending = head
 		d.setState(WFACK)
 		d.setTimer(air, tBcastAir)
 		return
 	}
-	rts := &frame.Frame{Type: frame.RTS, Src: d.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq()}
+	rts := &d.out
+	*rts = frame.Frame{Type: frame.RTS, Src: d.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq()}
 	air := d.transmit(rts)
 	d.stats.RTSSent++
 	d.setState(WFCTS)
@@ -468,7 +473,8 @@ func (d *DCF) dropHead(head *mac.Packet) {
 func (d *DCF) sendData() {
 	d.fired()
 	head := d.sending
-	data := &frame.Frame{Type: frame.DATA, Src: d.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
+	data := &d.out
+	*data = frame.Frame{Type: frame.DATA, Src: d.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
 	air := d.transmit(data)
 	d.setState(WFACK)
 	d.setTimer(air+d.opt.SIFS+d.env.Cfg.CtrlTime()+d.env.Cfg.Margin, tACKTimeout)
@@ -477,7 +483,8 @@ func (d *DCF) sendData() {
 // sendCTS radiates the CTS a SIFS after the granted RTS.
 func (d *DCF) sendCTS() {
 	d.fired()
-	cts := &frame.Frame{Type: frame.CTS, Src: d.env.ID(), Dst: d.peer, DataBytes: d.peerBytes, Seq: d.peerSeq}
+	cts := &d.out
+	*cts = frame.Frame{Type: frame.CTS, Src: d.env.ID(), Dst: d.peer, DataBytes: d.peerBytes, Seq: d.peerSeq}
 	air := d.transmit(cts)
 	d.stats.CTSSent++
 	d.setState(WFData)
@@ -493,7 +500,8 @@ func (d *DCF) onDataTimeout() {
 // sendACK radiates the ACK a SIFS after the DATA frame.
 func (d *DCF) sendACK() {
 	d.fired()
-	ack := &frame.Frame{Type: frame.ACK, Src: d.env.ID(), Dst: d.peer, Seq: d.peerSeq}
+	ack := &d.out
+	*ack = frame.Frame{Type: frame.ACK, Src: d.env.ID(), Dst: d.peer, Seq: d.peerSeq}
 	air := d.transmit(ack)
 	d.stats.ACKSent++
 	d.setTimer(air, tAckAir)

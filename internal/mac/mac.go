@@ -216,7 +216,11 @@ type Radio interface {
 	// ID returns the station identifier.
 	ID() frame.NodeID
 	// Transmit radiates f and returns its airtime; the MAC schedules its
-	// own end-of-transmission continuation.
+	// own end-of-transmission continuation. The radio copies f before it
+	// returns and never keeps the pointer, so the MAC may rebuild its next
+	// frame in the same storage at once. Frames the radio's handler
+	// receives are, in turn, valid only for the duration of the callback
+	// (see phy.Handler).
 	Transmit(f *frame.Frame) sim.Duration
 	// Transmitting reports whether a transmission is in flight.
 	Transmitting() bool

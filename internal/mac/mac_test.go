@@ -118,6 +118,45 @@ func TestQueueAdoptAndDump(t *testing.T) {
 	}
 }
 
+// TestQueueDumpBytes pins the strconv rendering of the per-packet
+// inventory lines byte for byte: a wrapped ring (head past the middle of the
+// buffer), every identity field set, extreme values, and both packet
+// references. Rendering into a buffer with room allocates nothing.
+func TestQueueDumpBytes(t *testing.T) {
+	var q Queue
+	mk := func(dst frame.NodeID, size int, seq uint32, enq sim.Time, pay int) *Packet {
+		p := &Packet{Dst: dst, Size: size, Enqueued: enq, Payload: make([]byte, pay)}
+		p.SetSeq(seq)
+		return p
+	}
+	for i := 1; i <= 4; i++ {
+		q.Push(mk(frame.NodeID(i), 512, uint32(i), 0, 0))
+	}
+	q.Pop()
+	q.Pop()
+	q.Pop()
+	q.Push(mk(frame.Broadcast, 30, 4294967295, 9223372036854775807, 7))
+	q.Push(mk(0, 0, 0, -1, 0))
+	if q.head != 3 || len(q.buf) != 4 {
+		t.Fatalf("ring head %d of %d slots; the test wants a wrapped ring", q.head, len(q.buf))
+	}
+	want := "queue n=3 {dst=4 size=512 seq=4 enq=0 pay=0} " +
+		"{dst=65535 size=30 seq=4294967295 enq=9223372036854775807 pay=7} {dst=0 size=0 seq=0 enq=-1 pay=0}\n"
+	if got := string(q.AppendState(nil)); got != want {
+		t.Fatalf("dump = %q, want %q", got, want)
+	}
+	want = " sending={dst=4 size=512 seq=4 enq=0 pay=0} txHead=nil"
+	if got := string(AppendPacketRef(AppendPacketRef(nil, "sending", q.Peek()), "txHead", nil)); got != want {
+		t.Fatalf("refs = %q, want %q", got, want)
+	}
+	buf := make([]byte, 0, 512)
+	if n := testing.AllocsPerRun(100, func() {
+		AppendPacketRef(q.AppendState(buf), "sending", q.Peek())
+	}); n != 0 {
+		t.Fatalf("rendering the queue allocated %.1f times, want 0", n)
+	}
+}
+
 // TestStreamQueuesNonEmptyReusesSlice: NonEmpty is called on every
 // contention round, so it must not allocate once warm.
 func TestStreamQueuesNonEmptyReusesSlice(t *testing.T) {

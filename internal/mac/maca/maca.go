@@ -67,6 +67,9 @@ type MACA struct {
 	seq     uint32
 	halted  bool // crashed instance: every entry point is a no-op
 	stats   mac.Stats
+	// out is the outbox every outgoing frame is built in. The radio copies
+	// the frame on Transmit, so one buffer serves every send.
+	out frame.Frame
 }
 
 // New returns a MACA instance bound to env's radio. It installs itself as
@@ -286,7 +289,8 @@ func (m *MACA) onContendTimeout() {
 		m.enterContend()
 		return
 	}
-	f := &frame.Frame{Type: frame.RTS, Src: m.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq()}
+	f := &m.out
+	*f = frame.Frame{Type: frame.RTS, Src: m.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq()}
 	m.pol.StampSend(f)
 	air := m.transmit(f)
 	m.stats.RTSSent++
@@ -403,7 +407,8 @@ func (m *MACA) receiveForMe(f *frame.Frame) {
 			return
 		}
 		m.clearTimer()
-		cts := &frame.Frame{Type: frame.CTS, Src: m.env.ID(), Dst: f.Src, DataBytes: f.DataBytes, Seq: f.Seq}
+		cts := &m.out
+		*cts = frame.Frame{Type: frame.CTS, Src: m.env.ID(), Dst: f.Src, DataBytes: f.DataBytes, Seq: f.Seq}
 		m.pol.StampSend(cts)
 		air := m.transmit(cts)
 		m.stats.CTSSent++
@@ -420,7 +425,8 @@ func (m *MACA) receiveForMe(f *frame.Frame) {
 		m.retries = 0
 		head := m.q.Pop()
 		m.noteQueue("pop", head.Dst)
-		data := &frame.Frame{Type: frame.DATA, Src: m.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
+		data := &m.out
+		*data = frame.Frame{Type: frame.DATA, Src: m.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
 		m.pol.StampSend(data)
 		air := m.transmit(data)
 		m.setState(SendData)

@@ -213,6 +213,9 @@ type MACAW struct {
 	halted bool
 
 	stats mac.Stats
+	// out is the outbox every outgoing frame is built in. The radio copies
+	// the frame on Transmit, so one buffer serves every send.
+	out frame.Frame
 }
 
 // New returns a MACAW instance bound to env's radio, installing itself as
@@ -620,7 +623,8 @@ func (m *MACAW) onContendTimeout() {
 	if m.attempts[head.Dst] == 0 {
 		m.pol.StartExchange(head.Dst)
 	}
-	f := &frame.Frame{Type: frame.RTS, Src: m.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq()}
+	f := &m.out
+	*f = frame.Frame{Type: frame.RTS, Src: m.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq()}
 	m.pol.StampSend(f)
 	air := m.transmit(f)
 	m.stats.RTSSent++
@@ -633,7 +637,8 @@ func (m *MACAW) onContendTimeout() {
 func (m *MACAW) sendRRTS() {
 	dst, n := m.rrtsFor, m.rrtsLen
 	m.hasRRTS = false
-	f := &frame.Frame{Type: frame.RRTS, Src: m.env.ID(), Dst: dst, DataBytes: uint16(n)}
+	f := &m.out
+	*f = frame.Frame{Type: frame.RRTS, Src: m.env.ID(), Dst: dst, DataBytes: uint16(n)}
 	m.pol.StampSend(f)
 	air := m.transmit(f)
 	m.stats.RRTSSent++
@@ -646,7 +651,8 @@ func (m *MACAW) sendRRTS() {
 // sendMulticast performs the §3.3.4 multicast exchange: an RTS immediately
 // followed by the DATA packet, with no CTS.
 func (m *MACAW) sendMulticast(head *mac.Packet) {
-	rts := &frame.Frame{Type: frame.RTS, Src: m.env.ID(), Dst: frame.Broadcast, DataBytes: uint16(head.Size), Seq: head.Seq(), Multicast: true}
+	rts := &m.out
+	*rts = frame.Frame{Type: frame.RTS, Src: m.env.ID(), Dst: frame.Broadcast, DataBytes: uint16(head.Size), Seq: head.Seq(), Multicast: true}
 	m.pol.StampSend(rts)
 	air := m.transmit(rts)
 	m.stats.RTSSent++
@@ -659,7 +665,8 @@ func (m *MACAW) sendMulticast(head *mac.Packet) {
 func (m *MACAW) onMcastRTSSent() {
 	m.timer = sim.Event{}
 	head := m.txHead
-	data := &frame.Frame{Type: frame.DATA, Src: m.env.ID(), Dst: frame.Broadcast, DataBytes: uint16(head.Size), Seq: head.Seq(), Multicast: true, Payload: head.Payload}
+	data := &m.out
+	*data = frame.Frame{Type: frame.DATA, Src: m.env.ID(), Dst: frame.Broadcast, DataBytes: uint16(head.Size), Seq: head.Seq(), Multicast: true, Payload: head.Payload}
 	m.pol.StampSend(data)
 	dair := m.transmit(data)
 	m.setTimer(dair, tMcastDataSent)
@@ -782,7 +789,8 @@ func (m *MACAW) onExpectTimeout() {
 	m.timer = sim.Event{}
 	if m.opt.NACK && m.st == WFData {
 		// §4: tell the sender its data never arrived.
-		nack := &frame.Frame{Type: frame.NACK, Src: m.env.ID(), Dst: m.expectSrc}
+		nack := &m.out
+		*nack = frame.Frame{Type: frame.NACK, Src: m.env.ID(), Dst: m.expectSrc}
 		m.pol.StampSend(nack)
 		air := m.transmit(nack)
 		m.expectSrc = 0
@@ -1001,7 +1009,8 @@ func (m *MACAW) grantRTS(f *frame.Frame) {
 		return
 	}
 	m.clearTimer()
-	cts := &frame.Frame{Type: frame.CTS, Src: m.env.ID(), Dst: f.Src, DataBytes: f.DataBytes, Seq: f.Seq}
+	cts := &m.out
+	*cts = frame.Frame{Type: frame.CTS, Src: m.env.ID(), Dst: f.Src, DataBytes: f.DataBytes, Seq: f.Seq}
 	if m.opt.PiggybackACK && m.everAcked[f.Src] {
 		cts.HasAck = true
 		cts.Ack = m.lastAcked[f.Src]
@@ -1070,7 +1079,8 @@ func (m *MACAW) onCTS(f *frame.Frame) {
 		m.pol.OnSuccess(m.curDst)
 	}
 	if m.opt.Exchange.HasDS() {
-		ds := &frame.Frame{Type: frame.DS, Src: m.env.ID(), Dst: m.curDst, DataBytes: uint16(head.Size), Seq: head.Seq()}
+		ds := &m.out
+		*ds = frame.Frame{Type: frame.DS, Src: m.env.ID(), Dst: m.curDst, DataBytes: uint16(head.Size), Seq: head.Seq()}
 		m.pol.StampSend(ds)
 		air := m.transmit(ds)
 		m.stats.DSSent++
@@ -1094,7 +1104,8 @@ func (m *MACAW) sendData(head *mac.Packet) {
 			wantAck = false
 		}
 	}
-	data := &frame.Frame{Type: frame.DATA, Src: m.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload, AckRequested: wantAck}
+	data := &m.out
+	*data = frame.Frame{Type: frame.DATA, Src: m.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload, AckRequested: wantAck}
 	m.pol.StampSend(data)
 	air := m.transmit(data)
 	m.txHead, m.txWantAck = head, wantAck
@@ -1264,7 +1275,8 @@ func (m *MACAW) onData(f *frame.Frame) {
 
 // sendAck transmits a link-level ACK and resumes.
 func (m *MACAW) sendAck(dst frame.NodeID, seq uint32) {
-	ack := &frame.Frame{Type: frame.ACK, Src: m.env.ID(), Dst: dst, Seq: seq}
+	ack := &m.out
+	*ack = frame.Frame{Type: frame.ACK, Src: m.env.ID(), Dst: dst, Seq: seq}
 	m.pol.StampSend(ack)
 	air := m.transmit(ack)
 	m.stats.ACKSent++
@@ -1286,7 +1298,8 @@ func (m *MACAW) onRRTS(f *frame.Frame) {
 	if m.attempts[head.Dst] == 0 {
 		m.pol.StartExchange(head.Dst)
 	}
-	rts := &frame.Frame{Type: frame.RTS, Src: m.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq()}
+	rts := &m.out
+	*rts = frame.Frame{Type: frame.RTS, Src: m.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq()}
 	m.pol.StampSend(rts)
 	air := m.transmit(rts)
 	m.stats.RTSSent++

@@ -3,6 +3,7 @@ package macaw
 import (
 	"testing"
 
+	"macaw/internal/frame"
 	"macaw/internal/geom"
 	"macaw/internal/mac"
 	"macaw/internal/sim"
@@ -38,5 +39,37 @@ func TestStateTimerAllocationFree(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("arming and firing the state timer allocated %.1f times per cycle, want 0", n)
+	}
+}
+
+// TestExchangeAllocationFree pins the allocation-free transmit path: every
+// outgoing frame is built in the engine's outbox and copied into a pooled
+// phy transmission record, so once the simulator's and the medium's pools
+// are warm one complete RTS-CTS-DS-DATA-ACK exchange over a real medium
+// allocates nothing. The packets are queued before the measured region.
+func TestExchangeAllocationFree(t *testing.T) {
+	const runs = 50
+	w := newWorld(1)
+	a := w.add(1, geom.V(0, 0, 6), DefaultOptions())
+	b := w.add(2, geom.V(6, 0, 6), DefaultOptions())
+	for i := 0; i < runs+2; i++ {
+		a.m.Enqueue(pkt(2))
+	}
+	b.delivered = make([]frame.NodeID, 0, runs+2)
+	b.payloads = make([][]byte, 0, runs+2)
+	exchange := func() {
+		for sent := a.sent; a.sent == sent; {
+			if !w.s.Step() {
+				t.Fatal("simulation ran dry mid-exchange")
+			}
+		}
+	}
+	exchange() // warms the pools; AllocsPerRun runs one more unmeasured
+	if n := testing.AllocsPerRun(runs, exchange); n != 0 {
+		t.Fatalf("one RTS-CTS-DS-DATA-ACK exchange allocated %.2f times, want 0", n)
+	}
+	as, bs := a.m.Stats(), b.m.Stats()
+	if len(b.delivered) != runs+2 || bs.CTSSent != runs+2 || as.DSSent != runs+2 || bs.ACKSent != runs+2 {
+		t.Fatalf("receiver delivered %d, CTS=%d DS=%d ACK=%d, want %d each", len(b.delivered), bs.CTSSent, as.DSSent, bs.ACKSent, runs+2)
 	}
 }

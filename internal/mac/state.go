@@ -1,20 +1,35 @@
 package mac
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // This file provides the queue dumps shared by every protocol engine's
 // snapshot state inventory (DESIGN.md §14). Packet identity is (dst, size,
 // seq, enqueue time, payload length) — payload bytes are transport segments
 // already pinned by the transport dump, so their length suffices here.
+// The per-packet lines are the bulk of a capture, so they are rendered with
+// strconv rather than fmt.
 
 // AppendState appends the queue's packets in FIFO order.
 func (q *Queue) AppendState(b []byte) []byte {
-	b = fmt.Appendf(b, "queue n=%d", q.n)
+	b = append(b, "queue n="...)
+	b = strconv.AppendInt(b, int64(q.n), 10)
 	for i := 0; i < q.n; i++ {
-		p := q.at(i)
-		b = fmt.Appendf(b, " {dst=%d size=%d seq=%d enq=%d pay=%d}", p.Dst, p.Size, p.seq, p.Enqueued, len(p.Payload))
+		b = appendPacket(append(b, ' '), q.at(i))
 	}
 	return append(b, '\n')
+}
+
+// appendPacket appends {dst=.. size=.. seq=.. enq=.. pay=..}.
+func appendPacket(b []byte, p *Packet) []byte {
+	b = strconv.AppendUint(append(b, "{dst="...), uint64(p.Dst), 10)
+	b = strconv.AppendInt(append(b, " size="...), int64(p.Size), 10)
+	b = strconv.AppendUint(append(b, " seq="...), uint64(p.seq), 10)
+	b = strconv.AppendInt(append(b, " enq="...), int64(p.Enqueued), 10)
+	b = strconv.AppendInt(append(b, " pay="...), int64(len(p.Payload)), 10)
+	return append(b, '}')
 }
 
 // AppendState appends every per-destination queue in first-seen order —
@@ -33,10 +48,11 @@ func (s *StreamQueues) AppendState(b []byte) []byte {
 // txHead continuation fields are inventory: a fork that lost track of the
 // packet its pending air-time timer completes must diverge visibly here.
 func AppendPacketRef(b []byte, name string, p *Packet) []byte {
+	b = append(append(append(b, ' '), name...), '=')
 	if p == nil {
-		return fmt.Appendf(b, " %s=nil", name)
+		return append(b, "nil"...)
 	}
-	return fmt.Appendf(b, " %s={dst=%d size=%d seq=%d enq=%d pay=%d}", name, p.Dst, p.Size, p.seq, p.Enqueued, len(p.Payload))
+	return appendPacket(b, p)
 }
 
 // AppendState appends the MAC counters (part of each engine's dump).

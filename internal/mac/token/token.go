@@ -104,6 +104,9 @@ type Token struct {
 	seq      uint32
 	halted   bool // crashed instance: every entry point is a no-op
 	stats    mac.Stats
+	// out is the outbox every outgoing frame is built in. The radio copies
+	// the frame on Transmit, so one buffer serves every send.
+	out frame.Frame
 	// Regenerations counts token-recovery events at this station.
 	Regenerations int
 	// Skips counts successors skipped after a watch timeout.
@@ -346,7 +349,8 @@ func (t *Token) serve() {
 	t.q.Pop()
 	t.noteQueue("pop", head.Dst)
 	t.sentThis++
-	data := &frame.Frame{Type: frame.DATA, Src: t.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
+	data := &t.out
+	*data = frame.Frame{Type: frame.DATA, Src: t.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
 	air := t.transmit(data)
 	t.sending = head
 	t.setTimer(air, tDataSent)
@@ -397,7 +401,8 @@ func (t *Token) pass(skip int) {
 		t.setTimer(t.env.Cfg.Slot(), tHoldPause)
 		return
 	}
-	tok := &frame.Frame{Type: frame.TOKEN, Src: t.env.ID(), Dst: succ}
+	tok := &t.out
+	*tok = frame.Frame{Type: frame.TOKEN, Src: t.env.ID(), Dst: succ}
 	air := t.transmit(tok)
 	t.setState(Passing)
 	t.skipNext = skip + 1

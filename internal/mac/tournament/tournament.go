@@ -119,6 +119,9 @@ type Tournament struct {
 	sigs    int  // SIG bursts radiated (engine-local; mac.Stats has no slot for them)
 	halted  bool // crashed instance: every entry point is a no-op
 	stats   mac.Stats
+	// out is the outbox every outgoing frame is built in. The radio copies
+	// the frame on Transmit, so one buffer serves every send.
+	out frame.Frame
 }
 
 // New returns a tournament instance bound to env's radio. The link-layer
@@ -348,7 +351,8 @@ func (t *Tournament) stepRound() {
 	t.round--
 	t.roundStart = t.env.Sim.Now()
 	if (t.draw>>t.round)&1 == 1 {
-		sig := &frame.Frame{Type: frame.SIG, Src: t.env.ID(), Dst: frame.Broadcast}
+		sig := &t.out
+		*sig = frame.Frame{Type: frame.SIG, Src: t.env.ID(), Dst: frame.Broadcast}
 		t.transmit(sig)
 		t.sigs++
 		t.sentSig = true
@@ -376,7 +380,8 @@ func (t *Tournament) sendHead() {
 		t.setState(Idle)
 		return
 	}
-	data := &frame.Frame{Type: frame.DATA, Src: t.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
+	data := &t.out
+	*data = frame.Frame{Type: frame.DATA, Src: t.env.ID(), Dst: head.Dst, DataBytes: uint16(head.Size), Seq: head.Seq(), Payload: head.Payload}
 	air := t.transmit(data)
 	t.sending = head
 	if head.Dst == frame.Broadcast {
@@ -469,7 +474,8 @@ func (t *Tournament) RadioReceive(f *frame.Frame) {
 		// the data's carrier rose). No state change: an armed boundary
 		// timer simply finds the medium busy and re-polls.
 		if !t.env.Radio.Transmitting() {
-			ack := &frame.Frame{Type: frame.ACK, Src: t.env.ID(), Dst: f.Src, Seq: f.Seq}
+			ack := &t.out
+			*ack = frame.Frame{Type: frame.ACK, Src: t.env.ID(), Dst: f.Src, Seq: f.Seq}
 			t.transmit(ack)
 			t.stats.ACKSent++
 		}

@@ -18,11 +18,10 @@ import (
 
 // AdoptFrom copies w's mutable state into m, which must have been built
 // identically (same topology, same attach order, same parameters). Frames in
-// flight are shared — they are immutable once transmitted — but transmission
-// and reception records are cloned so the twins never alias each other's
-// bookkeeping. It fails closed when the two media are observably different
-// shapes or when w carries state this fork path does not reproduce (a
-// stateful noise model).
+// flight are copied by value along with the transmission and reception
+// records, so the twins never alias each other's frames or bookkeeping. It
+// fails closed when the two media are observably different shapes or when w
+// carries state this fork path does not reproduce (a stateful noise model).
 func (m *Medium) AdoptFrom(w *Medium) error {
 	if len(m.radios) != len(w.radios) {
 		return fmt.Errorf("phy: adopt: %d radios here vs %d in warm medium", len(m.radios), len(w.radios))
@@ -61,7 +60,7 @@ func (m *Medium) AdoptFrom(w *Medium) error {
 	}
 
 	// Clone the active transmissions in active-list (summation) order,
-	// sharing the immutable frames and re-arming each completion event at
+	// copying their frames and re-arming each completion event at
 	// its exact (when, prio, seq) key.
 	m.active = m.active[:0]
 	for _, wt := range w.active {
@@ -92,7 +91,7 @@ func (m *Medium) AdoptFrom(w *Medium) error {
 	// fresh records carry no other state.
 	m.txFree = m.txFree[:0]
 	for i := 0; i < len(w.txFree); i++ {
-		m.txFree = append(m.txFree, &transmission{})
+		m.txFree = append(m.txFree, &transmission{m: m})
 	}
 	m.recFree = m.recFree[:0]
 	for i := 0; i < len(w.recFree); i++ {

@@ -13,10 +13,15 @@ import (
 // Handler receives physical-layer indications for one radio. Callbacks are
 // always delivered from the simulator event loop, never synchronously from
 // inside a Transmit call, so handlers may freely call back into the radio.
+//
+// The frame passed to RadioReceive and RadioCorrupted is the medium's own
+// in-flight copy, shared among all receivers of the transmission: it must not
+// be mutated, and it is valid only for the duration of the call. A handler
+// that needs the frame afterwards keeps a copy (*f or f.Clone()), never the
+// pointer.
 type Handler interface {
 	// RadioReceive delivers a cleanly received frame, including overheard
-	// frames addressed to other stations. The frame is shared among all
-	// receivers and must not be mutated.
+	// frames addressed to other stations.
 	RadioReceive(f *frame.Frame)
 	// RadioCarrier signals transitions of the carrier-sense indication.
 	RadioCarrier(busy bool)
@@ -57,10 +62,13 @@ type reception struct {
 }
 
 type transmission struct {
+	m     *Medium
 	radio *Radio
-	f     *frame.Frame
-	end   sim.Time
-	rx    []*reception
+	// f is the frame on the air, copied in by startTx: the sender may reuse
+	// its own frame storage as soon as Transmit returns.
+	f   frame.Frame
+	end sim.Time
+	rx  []*reception
 	// idx is the transmission's position in Medium.active, kept current by
 	// startTx/endTx so completion does not scan the active list.
 	idx int
@@ -70,6 +78,10 @@ type transmission struct {
 	// endEv is the scheduled end-of-transmission event, retained so a
 	// warm-started fork can re-arm the completion at its exact ordering key.
 	endEv sim.Event
+	// pending counts the receive and corrupt notifications endTx scheduled
+	// that have not fired yet. They point into f, so the record returns to
+	// the free list only when the last of them has fired.
+	pending int
 }
 
 // NoiseSource is a positional energy emitter (e.g. the Figure 11 electronic
@@ -195,9 +207,12 @@ type Medium struct {
 	unionNbr []*Radio
 	single   [1]*Radio
 
-	// txFree and recFree recycle transmission and reception records: both
-	// are dead once endTx finishes (nothing outside the medium retains
-	// them), so steady-state traffic allocates neither.
+	// txFree and recFree recycle transmission and reception records, so
+	// steady-state traffic allocates neither. A reception is dead once endTx
+	// finishes; a transmission once its last notification has fired (see
+	// releaseTx). Notifications are scheduled at the current instant, so at
+	// every barrier Simulator.Run has fired them all and every record that is
+	// not on the air is back on its free list.
 	txFree  []*transmission
 	recFree []*reception
 }
@@ -208,8 +223,20 @@ type Medium struct {
 func endTxCall(a, b any)      { a.(*Medium).endTx(b.(*transmission)) }
 func carrierOnCall(a, _ any)  { a.(Handler).RadioCarrier(true) }
 func carrierOffCall(a, _ any) { a.(Handler).RadioCarrier(false) }
-func receiveCall(a, b any)    { a.(Handler).RadioReceive(b.(*frame.Frame)) }
-func corruptedCall(a, b any)  { a.(CorruptionObserver).RadioCorrupted(b.(*frame.Frame)) }
+
+// receiveCall and corruptedCall hand the handler a pointer into the
+// transmission record, then drop the notification's hold on it.
+func receiveCall(a, b any) {
+	t := b.(*transmission)
+	a.(Handler).RadioReceive(&t.f)
+	t.m.releaseTx(t)
+}
+
+func corruptedCall(a, b any) {
+	t := b.(*transmission)
+	a.(CorruptionObserver).RadioCorrupted(&t.f)
+	t.m.releaseTx(t)
+}
 
 // allocTx takes a transmission record off the free list, or makes one.
 func (m *Medium) allocTx() *transmission {
@@ -219,7 +246,23 @@ func (m *Medium) allocTx() *transmission {
 		m.txFree = m.txFree[:n-1]
 		return t
 	}
-	return &transmission{}
+	return &transmission{m: m}
+}
+
+// releaseTx drops one notification's hold on t and frees the record when it
+// was the last.
+func (m *Medium) releaseTx(t *transmission) {
+	t.pending--
+	if t.pending == 0 {
+		m.freeTx(t)
+	}
+}
+
+// freeTx returns t to the free list. The frame is zeroed so its Payload stops
+// pinning the sender's packet.
+func (m *Medium) freeTx(t *transmission) {
+	t.f = frame.Frame{}
+	m.txFree = append(m.txFree, t)
 }
 
 // allocRec takes a reception record off the free list, or makes one.
@@ -588,7 +631,8 @@ func (m *Medium) unlinkRec(rec *reception) {
 	rec.radio.recs = a[:last]
 }
 
-// startTx begins radiating f from r for its airtime and returns the airtime.
+// startTx begins radiating a copy of f from r for its airtime and returns the
+// airtime.
 func (m *Medium) startTx(r *Radio, f *frame.Frame) sim.Duration {
 	air := f.Airtime(m.params.BitrateBPS)
 	if r.tx != nil {
@@ -608,7 +652,7 @@ func (m *Medium) startTx(r *Radio, f *frame.Frame) sim.Duration {
 	}
 	tx := m.allocTx()
 	m.txSeq++
-	tx.radio, tx.f, tx.end, tx.idx, tx.seq = r, f, m.s.Now()+air, len(m.active), m.txSeq
+	tx.radio, tx.f, tx.end, tx.idx, tx.seq = r, *f, m.s.Now()+air, len(m.active), m.txSeq
 	r.tx = tx
 	m.active = append(m.active, tx)
 	m.counters.Transmissions++
@@ -703,21 +747,23 @@ func (m *Medium) endTx(tx *transmission) {
 		switch {
 		case rec.corrupted:
 			m.counters.Corrupted++
-			m.notifyCorrupted(rec.radio, tx.f)
+			m.notifyCorrupted(rec.radio, tx)
 		case !rec.radio.enabled:
 			m.counters.Aborted++
-		case m.noise.Corrupts(m.rng, rec.radio, tx.f):
+		case m.noise.Corrupts(m.rng, rec.radio, &tx.f):
 			m.counters.NoiseDropped++
-			m.notifyCorrupted(rec.radio, tx.f)
+			m.notifyCorrupted(rec.radio, tx)
 		default:
 			m.counters.Delivered++
 			if rec.radio.h != nil {
-				m.s.AtPriorityCall(m.s.Now(), -1, receiveCall, rec.radio.h, tx.f)
+				tx.pending++
+				m.s.AtPriorityCall(m.s.Now(), -1, receiveCall, rec.radio.h, tx)
 			}
 		}
 	}
-	// The scheduled notifications captured handler and frame, never the
-	// records themselves, so both can be recycled immediately.
+	// The scheduled notifications hold the transmission, never the
+	// receptions, so the receptions are recycled immediately and the
+	// transmission once its notifications have fired.
 	for i, rec := range tx.rx {
 		m.unlinkRec(rec)
 		rec.radio, rec.tx = nil, nil
@@ -725,9 +771,11 @@ func (m *Medium) endTx(tx *transmission) {
 		m.recFree = append(m.recFree, rec)
 	}
 	tx.rx = tx.rx[:0]
-	tx.radio, tx.f = nil, nil
+	tx.radio = nil
 	tx.endEv = sim.Event{}
-	m.txFree = append(m.txFree, tx)
+	if tx.pending == 0 {
+		m.freeTx(tx)
+	}
 	if m.useIndex() {
 		m.updateCarrierFor(src.nbr)
 	} else {
@@ -735,12 +783,13 @@ func (m *Medium) endTx(tx *transmission) {
 	}
 }
 
-func (m *Medium) notifyCorrupted(q *Radio, f *frame.Frame) {
-	if q.h == nil || f.Dst != q.id {
+func (m *Medium) notifyCorrupted(q *Radio, tx *transmission) {
+	if q.h == nil || tx.f.Dst != q.id {
 		return
 	}
 	if obs, ok := q.h.(CorruptionObserver); ok {
-		m.s.AtPriorityCall(m.s.Now(), -1, corruptedCall, obs, f)
+		tx.pending++
+		m.s.AtPriorityCall(m.s.Now(), -1, corruptedCall, obs, tx)
 	}
 }
 
@@ -1018,10 +1067,11 @@ func (r *Radio) Transmitting() bool { return r.tx != nil }
 // CarrierBusy reports the current carrier-sense indication.
 func (r *Radio) CarrierBusy() bool { return r.carrierBusy }
 
-// Transmit radiates f and returns its airtime. The caller is responsible
-// for scheduling its own end-of-transmission continuation (typically
-// sim.After(airtime, ...)). Transmitting while already transmitting panics:
-// it is a MAC-layer bug.
+// Transmit radiates a copy of f and returns its airtime: the medium keeps
+// the frame by value, so the caller may reuse f as soon as Transmit returns.
+// The caller is responsible for scheduling its own end-of-transmission
+// continuation (typically sim.After(airtime, ...)). Transmitting while
+// already transmitting panics: it is a MAC-layer bug.
 func (r *Radio) Transmit(f *frame.Frame) sim.Duration {
 	if f.Src != r.id {
 		panic(fmt.Sprintf("phy: frame src %v transmitted by %v", f.Src, r.id))

@@ -3,6 +3,7 @@ package phy
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -11,16 +12,17 @@ import (
 	"macaw/internal/sim"
 )
 
-// recorder is a test Handler that logs everything it hears.
+// recorder is a test Handler that logs everything it hears. It keeps copies:
+// a delivered frame is valid only for the duration of the callback.
 type recorder struct {
 	received  []*frame.Frame
 	corrupted []*frame.Frame
 	carrier   []bool
 }
 
-func (h *recorder) RadioReceive(f *frame.Frame)   { h.received = append(h.received, f) }
+func (h *recorder) RadioReceive(f *frame.Frame)   { h.received = append(h.received, f.Clone()) }
 func (h *recorder) RadioCarrier(busy bool)        { h.carrier = append(h.carrier, busy) }
-func (h *recorder) RadioCorrupted(f *frame.Frame) { h.corrupted = append(h.corrupted, f) }
+func (h *recorder) RadioCorrupted(f *frame.Frame) { h.corrupted = append(h.corrupted, f.Clone()) }
 
 func newTestMedium(t *testing.T) (*sim.Simulator, *Medium) {
 	t.Helper()
@@ -135,7 +137,7 @@ func TestCleanDeliveryInRange(t *testing.T) {
 		t.Fatalf("control airtime = %v", air)
 	}
 	s.RunAll()
-	if len(bh.received) != 1 || bh.received[0] != f {
+	if len(bh.received) != 1 || !reflect.DeepEqual(bh.received[0], f) {
 		t.Fatalf("b received %v", bh.received)
 	}
 	c := m.Counters()
