@@ -134,8 +134,10 @@ func (st *Station) Restarts() int { return st.restarts }
 
 // newEnv builds a MAC environment bound to the station's radio. Each call
 // draws a fresh generator from the simulator, so a restarted MAC gets its own
-// reproducible stream.
+// reproducible stream. A packet's terminal upcall, Sent or Dropped, releases
+// it to the network's pool (a no-op for packets the pool does not own).
 func (st *Station) newEnv() *mac.Env {
+	pool := &st.net.packets
 	env := &mac.Env{
 		Sim:   st.net.Sim,
 		Radio: st.radio,
@@ -143,7 +145,11 @@ func (st *Station) newEnv() *mac.Env {
 		Cfg:   st.net.Cfg,
 		Callbacks: mac.Callbacks{
 			Deliver: st.onDeliver,
-			Dropped: func(*mac.Packet, mac.DropReason) { st.dropped++ },
+			Sent:    pool.Put,
+			Dropped: func(p *mac.Packet, _ mac.DropReason) {
+				st.dropped++
+				pool.Put(p)
+			},
 		},
 	}
 	switch len(st.net.obsFactories) {
@@ -196,22 +202,31 @@ func (st *Station) Restart() bool {
 }
 
 // segmentPacket is a MAC packet together with the storage of the segment
-// header it carries, so sending a segment costs one allocation.
+// header it carries, so a packet the pool cannot supply costs one allocation.
 type segmentPacket struct {
 	p   mac.Packet
 	hdr [transport.HeaderLen]byte
 }
 
 // SendSegment implements transport.Endpoint: wrap the segment into a MAC
-// packet of the requested on-air size. A powered-off station sends nothing.
+// packet of the requested on-air size, reusing a released packet of the
+// network's pool (and the header storage its payload points at) when one is
+// free. A powered-off station sends nothing.
 func (st *Station) SendSegment(dst frame.NodeID, seg transport.Segment, size int) {
 	if !st.radio.Enabled() {
 		return
 	}
-	sp := &segmentPacket{p: mac.Packet{Dst: dst, Size: size}}
-	seg.Put(&sp.hdr)
-	sp.p.Payload = sp.hdr[:]
-	st.mac.Enqueue(&sp.p)
+	p := st.net.packets.Get()
+	if p == nil {
+		sp := &segmentPacket{}
+		p = &sp.p
+		p.Payload = sp.hdr[:0]
+		st.net.packets.Own(p)
+	}
+	p.Dst, p.Size = dst, size
+	p.Payload = p.Payload[:transport.HeaderLen]
+	seg.Put((*[transport.HeaderLen]byte)(p.Payload))
+	st.mac.Enqueue(p)
 }
 
 // Clock implements transport.Endpoint.
@@ -302,6 +317,8 @@ type Network struct {
 	// obsFactories build the per-MAC-lifetime passive observers; see
 	// SetMACObserver and AddMACObserver.
 	obsFactories []MACObserverFactory
+	// packets recycles the segment packets of this network's stations.
+	packets mac.PacketPool
 
 	// TCPCfg configures new TCP streams. The default matches the
 	// paper-era TCP §3.3.1 describes: a 0.5 s minimum retransmission
@@ -559,13 +576,11 @@ func (n *Network) Collect() Results {
 		}
 		if len(s.delays) > 0 {
 			var sum sim.Duration
-			xs := make([]float64, len(s.delays))
-			for i, d := range s.delays {
+			for _, d := range s.delays {
 				sum += d
-				xs[i] = float64(d)
 			}
 			r.MeanDelay = sum / sim.Duration(len(s.delays))
-			r.P95Delay = sim.Duration(stats.Percentile(xs, 0.95))
+			r.P95Delay = stats.Percentile(s.delays, 0.95)
 		}
 		res.Streams = append(res.Streams, r)
 	}

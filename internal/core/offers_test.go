@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"macaw/internal/frame"
 	"macaw/internal/geom"
 	"macaw/internal/mac/macaw"
 	"macaw/internal/sim"
@@ -125,8 +126,8 @@ func TestOfferLogRejectsSparseSeqs(t *testing.T) {
 	l.add(3, 0)
 }
 
-// TestSendSegmentAllocatesOnce: the MAC packet and its segment header share
-// one allocation.
+// TestSendSegmentAllocatesOnce: with no released packet to reuse (the cold
+// path), the MAC packet and its segment header share one allocation.
 func TestSendSegmentAllocatesOnce(t *testing.T) {
 	n := NewNetwork(1)
 	a := n.AddStation("A", geom.V(0, 0, 6), MACAWFactory(macaw.DefaultOptions()))
@@ -134,5 +135,36 @@ func TestSendSegmentAllocatesOnce(t *testing.T) {
 	seg := transport.Segment{Proto: transport.ProtoUDP, Stream: 1, Kind: transport.KindData, Seq: 1}
 	if got := testing.AllocsPerRun(100, func() { a.SendSegment(b.ID(), seg, transport.DataBytes) }); got != 1 {
 		t.Fatalf("SendSegment allocated %.0f times per packet, want 1", got)
+	}
+}
+
+// TestSendSegmentRecyclesReleasedPackets: a packet's terminal upcall releases
+// it to the network's pool, and the next offered segment reuses it. Once the
+// pools are warm, one UDP offer plus its complete RTS-CTS-DS-DATA-ACK
+// exchange, delivery to the receiving agent included, allocates nothing — a
+// segment that did not find the released packet would cost one allocation.
+func TestSendSegmentRecyclesReleasedPackets(t *testing.T) {
+	const runs = 50
+	n := NewNetwork(1)
+	a := n.AddStation("A", geom.V(0, 0, 6), MACAWFactory(macaw.DefaultOptions()))
+	b := n.AddStation("B", geom.V(6, 0, 6), MACAWFactory(macaw.DefaultOptions()))
+	s := n.AddStream(a, b, UDP, 1) // never started: the test offers by hand
+	delivered := 0
+	b.Handle(func(frame.NodeID, transport.Segment) { delivered++ })
+	offer := func() {
+		sent := a.MAC().Stats().DataSent
+		s.udpSender.Offer()
+		for a.MAC().Stats().DataSent == sent {
+			if !n.Sim.Step() {
+				t.Fatal("simulation ran dry mid-exchange")
+			}
+		}
+	}
+	offer() // warms the pools; AllocsPerRun runs one more unmeasured
+	if got := testing.AllocsPerRun(runs, offer); got != 0 {
+		t.Fatalf("one offer and its exchange allocated %.2f times, want 0", got)
+	}
+	if delivered != runs+2 || a.MAC().Stats().Drops != 0 {
+		t.Fatalf("delivered %d segments, %d drops, want %d and 0", delivered, a.MAC().Stats().Drops, runs+2)
 	}
 }

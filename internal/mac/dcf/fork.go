@@ -10,11 +10,13 @@ import (
 // AdoptFrom implements mac.Engine: it copies the warm twin's mutable protocol
 // state into d, which must be a freshly built twin bound to an identically
 // built environment (DESIGN.md §15). Queued packets are shared — a mac.Packet
-// is immutable once enqueued — and the pending state timer is re-armed at its
-// exact (when, prio, seq) ordering key. The timer kind, not the FSM state,
-// discriminates the callback: WFACK chains a broadcast-airtime timer and an
-// ACK timeout, and SendACK chains a SIFS gap and an ACK airtime, so state
-// alone is ambiguous. It fails closed on anything this path cannot reproduce.
+// is immutable while any network holds it, and only its owning pool recycles
+// it, after its terminal upcall (mac.PacketPool) — and the pending state timer
+// is re-armed at its exact (when, prio, seq) ordering key. The timer kind, not
+// the FSM state, discriminates the callback: WFACK chains a broadcast-airtime
+// timer and an ACK timeout, and SendACK chains a SIFS gap and an ACK airtime,
+// so state alone is ambiguous. It fails closed on anything this path cannot
+// reproduce.
 func (d *DCF) AdoptFrom(peer mac.Engine) error {
 	w, ok := peer.(*DCF)
 	if !ok {

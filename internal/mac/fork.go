@@ -4,8 +4,10 @@ import "macaw/internal/frame"
 
 // This file provides the queue side of warm-started forking (DESIGN.md §15).
 // Queued packets are shared between the warm twin and the fork rather than
-// cloned: a Packet is immutable once enqueued — the engines write only SetSeq
-// and Enqueued inside Enqueue, and every later stage reads — so sharing
+// cloned: a Packet is immutable while any network holds it — the engines
+// write only SetSeq and Enqueued inside Enqueue, and every later stage reads
+// — and only its owning pool recycles it, after its terminal upcall
+// (PacketPool). A fork's pool ignores the twin's packets, so sharing
 // preserves pointer identity (MACAW's piggyback path compares queue head and
 // pending entry by identity) and is safe under concurrent forks.
 

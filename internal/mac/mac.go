@@ -25,6 +25,11 @@ type Packet struct {
 	Enqueued sim.Time
 
 	seq uint32 // link-layer sequence number, assigned by the MAC
+	// released marks the packet as sitting on its pool's free list; pool
+	// owns it (nil for packets built outside a PacketPool). released packs
+	// beside seq, so the pool costs a packet one word.
+	released bool
+	pool     *PacketPool
 }
 
 // Seq returns the link-layer sequence number the MAC assigned.
@@ -43,6 +48,13 @@ const (
 )
 
 // Callbacks are the MAC-to-host upcalls. Any of them may be nil.
+//
+// An enqueued packet ends in at most one terminal upcall, Sent or Dropped
+// (MACA and token halted with the packet on the air report none). Once that
+// upcall returns the MAC holds no reference to p — not in a queue, an
+// in-flight field or a piggyback slot — so the host may recycle p from inside
+// it (see PacketPool). The frame that carried p's payload needs no such care:
+// the radio copied the bytes at Transmit.
 type Callbacks struct {
 	// Deliver hands a received data packet to the host.
 	Deliver func(src frame.NodeID, payload []byte)
@@ -216,11 +228,12 @@ type Radio interface {
 	// ID returns the station identifier.
 	ID() frame.NodeID
 	// Transmit radiates f and returns its airtime; the MAC schedules its
-	// own end-of-transmission continuation. The radio copies f before it
-	// returns and never keeps the pointer, so the MAC may rebuild its next
-	// frame in the same storage at once. Frames the radio's handler
-	// receives are, in turn, valid only for the duration of the callback
-	// (see phy.Handler).
+	// own end-of-transmission continuation. The radio copies f, payload
+	// bytes included, before it returns and never keeps the pointer, so the
+	// MAC may rebuild its next frame in the same storage at once and the
+	// host may recycle the packet the payload came from. Frames the radio's
+	// handler receives are, in turn, valid only for the duration of the
+	// callback (see phy.Handler).
 	Transmit(f *frame.Frame) sim.Duration
 	// Transmitting reports whether a transmission is in flight.
 	Transmitting() bool

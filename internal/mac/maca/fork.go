@@ -9,12 +9,12 @@ import (
 
 // AdoptFrom implements mac.Engine: it copies the warm twin's mutable protocol
 // state into m, which must be a freshly built twin bound to an identically
-// built environment (DESIGN.md §15).
-// Queued packets are shared — a mac.Packet is immutable once enqueued — and
-// the pending state timer is re-armed at its exact (when, prio, seq) ordering
-// key from the copied timer kind. It fails closed on anything this fork path
-// cannot reproduce: a halted instance, a mismatched backoff policy, or a live
-// timer with no kind.
+// built environment (DESIGN.md §15). Queued packets are shared — a mac.Packet
+// is immutable while any network holds it, and only its owning pool recycles
+// it, after its terminal upcall (mac.PacketPool) — and the pending state timer
+// is re-armed at its exact (when, prio, seq) ordering key from the copied timer
+// kind. It fails closed on anything this fork path cannot reproduce: a halted
+// instance, a mismatched backoff policy, or a live timer with no kind.
 func (m *MACA) AdoptFrom(peer mac.Engine) error {
 	w, ok := peer.(*MACA)
 	if !ok {

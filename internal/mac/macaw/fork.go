@@ -10,14 +10,14 @@ import (
 
 // AdoptFrom implements mac.Engine: it copies the warm twin's mutable protocol
 // state into m, which must be a freshly built twin bound to an identically
-// built environment (DESIGN.md §15).
-// Queued and pending packets are shared — a mac.Packet is immutable once
-// enqueued, and sharing preserves the pointer identity the piggyback path
-// compares (queue head vs pending entry). The pending state timer is re-armed
-// at its exact (when, prio, seq) ordering key from the copied timer kind. It
-// fails closed on anything this fork path cannot reproduce: a halted
-// instance, mismatched options, a mismatched backoff policy, or a live timer
-// with no kind.
+// built environment (DESIGN.md §15). Queued and pending packets are shared — a
+// mac.Packet is immutable while any network holds it, and only its owning pool
+// recycles it, after its terminal upcall (mac.PacketPool) — and sharing
+// preserves the pointer identity the piggyback path compares (queue head vs
+// pending entry). The pending state timer is re-armed at its exact (when, prio,
+// seq) ordering key from the copied timer kind. It fails closed on anything
+// this fork path cannot reproduce: a halted instance, mismatched options, a
+// mismatched backoff policy, or a live timer with no kind.
 func (m *MACAW) AdoptFrom(peer mac.Engine) error {
 	w, ok := peer.(*MACAW)
 	if !ok {

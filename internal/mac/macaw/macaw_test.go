@@ -16,8 +16,12 @@ type station struct {
 	m         *MACAW
 	delivered []frame.NodeID
 	payloads  [][]byte
-	sent      int
-	dropped   int
+	// arena holds the recorded payload bytes: a delivered payload is the
+	// medium's, valid only during the callback (phy.Handler), so the
+	// recorder copies it. Presizing the arena keeps recording free.
+	arena   []byte
+	sent    int
+	dropped int
 }
 
 type world struct {
@@ -38,7 +42,9 @@ func (w *world) add(id frame.NodeID, pos geom.Vec3, opt Options) *station {
 		Callbacks: mac.Callbacks{
 			Deliver: func(src frame.NodeID, payload []byte) {
 				st.delivered = append(st.delivered, src)
-				st.payloads = append(st.payloads, payload)
+				n := len(st.arena)
+				st.arena = append(st.arena, payload...)
+				st.payloads = append(st.payloads, st.arena[n:len(st.arena):len(st.arena)])
 			},
 			Sent:    func(*mac.Packet) { st.sent++ },
 			Dropped: func(*mac.Packet, mac.DropReason) { st.dropped++ },

@@ -57,6 +57,7 @@ func TestExchangeAllocationFree(t *testing.T) {
 	}
 	b.delivered = make([]frame.NodeID, 0, runs+2)
 	b.payloads = make([][]byte, 0, runs+2)
+	b.arena = make([]byte, 0, (runs+2)*len(pkt(2).Payload))
 	exchange := func() {
 		for sent := a.sent; a.sent == sent; {
 			if !w.s.Step() {

@@ -8,16 +8,16 @@ import (
 
 // AdoptFrom implements mac.Engine: it copies the warm twin's mutable protocol
 // state into t, which must be a freshly built twin bound to an identically
-// built environment (DESIGN.md §15).
-// Queued packets are shared — a mac.Packet is immutable once enqueued — and
-// both pending events (the state timer and the silence watchdog) are re-armed
-// at their exact (when, prio, seq) ordering keys, the state timer from the
-// copied timer kind. The one timer this path cannot reproduce is the
-// ring-bootstrap acquire armed by New at station zero — its handle is
-// discarded at build — but it fires one slot into the run, so it can never
-// still be pending at a warm barrier; if it somehow were, the fork's event
-// heap would hold fewer events than the warm capture and the
-// byte-verification step fails closed.
+// built environment (DESIGN.md §15). Queued packets are shared — a mac.Packet
+// is immutable while any network holds it, and only its owning pool recycles
+// it, after its terminal upcall (mac.PacketPool) — and both pending events (the
+// state timer and the silence watchdog) are re-armed at their exact (when,
+// prio, seq) ordering keys, the state timer from the copied timer kind. The one
+// timer this path cannot reproduce is the ring-bootstrap acquire armed by New
+// at station zero — its handle is discarded at build — but it fires one slot
+// into the run, so it can never still be pending at a warm barrier; if it
+// somehow were, the fork's event heap would hold fewer events than the warm
+// capture and the byte-verification step fails closed.
 func (t *Token) AdoptFrom(peer mac.Engine) error {
 	w, ok := peer.(*Token)
 	if !ok {

@@ -10,10 +10,11 @@ import (
 // AdoptFrom implements mac.Engine: it copies the warm twin's mutable protocol
 // state into t, which must be a freshly built twin bound to an identically
 // built environment (DESIGN.md §15). Queued packets are shared — a mac.Packet
-// is immutable once enqueued — and the pending state timer is re-armed at its
-// exact (when, prio, seq) ordering key, with the timer kind (not the FSM
-// state) selecting the continuation. It fails closed on anything this path
-// cannot reproduce.
+// is immutable while any network holds it, and only its owning pool recycles
+// it, after its terminal upcall (mac.PacketPool) — and the pending state
+// timer is re-armed at its exact (when, prio, seq) ordering key, with the
+// timer kind (not the FSM state) selecting the continuation. It fails closed
+// on anything this path cannot reproduce.
 func (t *Tournament) AdoptFrom(peer mac.Engine) error {
 	w, ok := peer.(*Tournament)
 	if !ok {

@@ -18,10 +18,11 @@ import (
 
 // AdoptFrom copies w's mutable state into m, which must have been built
 // identically (same topology, same attach order, same parameters). Frames in
-// flight are copied by value along with the transmission and reception
-// records, so the twins never alias each other's frames or bookkeeping. It
-// fails closed when the two media are observably different shapes or when w
-// carries state this fork path does not reproduce (a stateful noise model).
+// flight are copied by value, payload bytes included, along with the
+// transmission and reception records, so the twins never alias each other's
+// frames, payload buffers or bookkeeping. It fails closed when the two media
+// are observably different shapes or when w carries state this fork path does
+// not reproduce (a stateful noise model).
 func (m *Medium) AdoptFrom(w *Medium) error {
 	if len(m.radios) != len(w.radios) {
 		return fmt.Errorf("phy: adopt: %d radios here vs %d in warm medium", len(m.radios), len(w.radios))
@@ -60,13 +61,13 @@ func (m *Medium) AdoptFrom(w *Medium) error {
 	}
 
 	// Clone the active transmissions in active-list (summation) order,
-	// copying their frames and re-arming each completion event at
-	// its exact (when, prio, seq) key.
+	// copying their frames and payload bytes and re-arming each completion
+	// event at its exact (when, prio, seq) key.
 	m.active = m.active[:0]
 	for _, wt := range w.active {
 		t := m.allocTx()
 		t.radio = m.radios[wt.radio.idx]
-		t.f = wt.f
+		t.holdFrame(&wt.f)
 		t.end, t.idx, t.seq = wt.end, wt.idx, wt.seq
 		t.radio.tx = t
 		m.active = append(m.active, t)

@@ -16,9 +16,12 @@ import (
 //
 // The frame passed to RadioReceive and RadioCorrupted is the medium's own
 // in-flight copy, shared among all receivers of the transmission: it must not
-// be mutated, and it is valid only for the duration of the call. A handler
-// that needs the frame afterwards keeps a copy (*f or f.Clone()), never the
-// pointer.
+// be mutated, and it is valid only for the duration of the call. That holds
+// for its Payload bytes too: they live in the transmission record, not in the
+// sender's packet, and the record carries another frame's bytes once the
+// last notification has fired. A handler that needs the frame afterwards
+// keeps a copy (f.Clone(), or copies of the fields and bytes it reads),
+// never the pointer or the payload slice.
 type Handler interface {
 	// RadioReceive delivers a cleanly received frame, including overheard
 	// frames addressed to other stations.
@@ -66,9 +69,13 @@ type transmission struct {
 	radio *Radio
 	// f is the frame on the air, copied in by startTx: the sender may reuse
 	// its own frame storage as soon as Transmit returns.
-	f   frame.Frame
-	end sim.Time
-	rx  []*reception
+	f frame.Frame
+	// payload holds the bytes f.Payload points at, copied in with the frame
+	// so the sender may also recycle the packet they came from. The buffer
+	// is kept across the record's reuses.
+	payload []byte
+	end     sim.Time
+	rx      []*reception
 	// idx is the transmission's position in Medium.active, kept current by
 	// startTx/endTx so completion does not scan the active list.
 	idx int
@@ -258,8 +265,17 @@ func (m *Medium) releaseTx(t *transmission) {
 	}
 }
 
-// freeTx returns t to the free list. The frame is zeroed so its Payload stops
-// pinning the sender's packet.
+// holdFrame copies *f into t, payload bytes into t's own buffer.
+func (t *transmission) holdFrame(f *frame.Frame) {
+	t.f = *f
+	if len(f.Payload) > 0 {
+		t.payload = append(t.payload[:0], f.Payload...)
+		t.f.Payload = t.payload
+	}
+}
+
+// freeTx returns t to the free list. The frame is zeroed; its payload buffer
+// is kept for the record's next transmission.
 func (m *Medium) freeTx(t *transmission) {
 	t.f = frame.Frame{}
 	m.txFree = append(m.txFree, t)
@@ -652,7 +668,8 @@ func (m *Medium) startTx(r *Radio, f *frame.Frame) sim.Duration {
 	}
 	tx := m.allocTx()
 	m.txSeq++
-	tx.radio, tx.f, tx.end, tx.idx, tx.seq = r, *f, m.s.Now()+air, len(m.active), m.txSeq
+	tx.holdFrame(f)
+	tx.radio, tx.end, tx.idx, tx.seq = r, m.s.Now()+air, len(m.active), m.txSeq
 	r.tx = tx
 	m.active = append(m.active, tx)
 	m.counters.Transmissions++
@@ -1068,7 +1085,9 @@ func (r *Radio) Transmitting() bool { return r.tx != nil }
 func (r *Radio) CarrierBusy() bool { return r.carrierBusy }
 
 // Transmit radiates a copy of f and returns its airtime: the medium keeps
-// the frame by value, so the caller may reuse f as soon as Transmit returns.
+// the frame by value and its payload bytes in a buffer of its own, so the
+// caller may reuse f, and the storage f.Payload points at, as soon as
+// Transmit returns.
 // The caller is responsible for scheduling its own end-of-transmission
 // continuation (typically sim.After(airtime, ...)). Transmitting while
 // already transmitting panics: it is a MAC-layer bug.

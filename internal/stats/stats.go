@@ -6,6 +6,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -61,13 +62,13 @@ func Total(xs []float64) float64 {
 }
 
 // Percentile returns the p-quantile (0..1) of xs by nearest-rank (0 for
-// empty input).
-func Percentile(xs []float64, p float64) float64 {
+// empty input). It sorts one copy of xs; the input is left in order.
+func Percentile[T ~int64 | ~float64](xs []T, p float64) T {
 	if len(xs) == 0 {
 		return 0
 	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
+	s := slices.Clone(xs)
+	slices.Sort(s)
 	if p <= 0 {
 		return s[0]
 	}

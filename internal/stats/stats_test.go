@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -134,12 +136,44 @@ func TestPercentile(t *testing.T) {
 	if got := Percentile(xs, 0.5); got != 3 {
 		t.Fatalf("p50 = %v", got)
 	}
-	if got := Percentile(nil, 0.5); got != 0 {
+	if got := Percentile([]float64(nil), 0.5); got != 0 {
 		t.Fatalf("empty = %v", got)
 	}
 	// The input must not be reordered.
 	if xs[0] != 5 {
 		t.Fatal("Percentile mutated its input")
+	}
+}
+
+// TestPercentileDurationsMatchFloat64Path: on durations the generic
+// percentile equals the float64 path it replaced — convert, take the
+// percentile, convert back — with ties included and the input left in order.
+func TestPercentileDurationsMatchFloat64Path(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		// A small range forces ties; every other trial spans a wide one.
+		span := int64(50)
+		if trial%2 == 1 {
+			span = int64(5 * sim.Second)
+		}
+		ds := make([]sim.Duration, 1+rng.Intn(300))
+		for i := range ds {
+			ds[i] = sim.Duration(rng.Int63n(span))
+		}
+		orig := slices.Clone(ds)
+		xs := make([]float64, len(ds))
+		for i, d := range ds {
+			xs[i] = float64(d)
+		}
+		for _, p := range []float64{0, 0.01, 0.5, 0.95, 0.999, 1} {
+			got, want := Percentile(ds, p), sim.Duration(Percentile(xs, p))
+			if got != want {
+				t.Fatalf("trial %d p=%v: durations give %v, float64 path %v", trial, p, got, want)
+			}
+		}
+		if !slices.Equal(ds, orig) {
+			t.Fatalf("trial %d: Percentile reordered its input", trial)
+		}
 	}
 }
 
